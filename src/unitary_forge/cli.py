@@ -13,8 +13,9 @@ fixed manifest reproduces every report byte for byte apart from timing
 fields.
 
 The environment variable UNITARY_FORGE_THREADS caps BLAS thread pools;
-it is applied before numpy loads, which is why this module defers the
-heavy imports into the command bodies.
+it is validated (a positive integer, else exit 2) and applied before
+numpy loads, which is why this module defers the heavy imports into the
+command bodies.
 """
 
 from __future__ import annotations
@@ -59,13 +60,20 @@ class RunManifest:
 def apply_thread_cap() -> None:
     """Propagate UNITARY_FORGE_THREADS into the BLAS pool env knobs.
 
-    Must run before numpy is first imported to take effect.
+    Must run before numpy is first imported to take effect. Raises
+    ValueError naming the variable unless it is a positive integer.
     """
-    cap = os.environ.get("UNITARY_FORGE_THREADS")
-    if not cap:
+    raw = os.environ.get("UNITARY_FORGE_THREADS")
+    if not raw:
         return
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"UNITARY_FORGE_THREADS must be a positive integer, got {raw!r}")
     for name in _THREAD_ENV_TARGETS:
-        os.environ[name] = cap
+        os.environ[name] = str(cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,11 +169,7 @@ def _prepare_quanv_demo(config: dict):
 
     def run(out_dir: Path) -> None:
         if kind == "synthetic":
-            imgs, labels = synthetic_two_class(
-                n_images=dataset.pop("n_images", 64),
-                seed=dataset.pop("seed", cfg.seed),
-                **dataset,
-            )
+            imgs, labels = synthetic_two_class(**{"n_images": 64, "seed": cfg.seed, **dataset})
         else:
             imgs, labels = load_image_csv(
                 dataset["path"],
@@ -191,6 +195,7 @@ _PREPARERS = {
 def execute(manifest: RunManifest) -> int:
     """Run the selected pipeline; returns a process exit code."""
     try:
+        apply_thread_cap()
         with open(manifest.config_path) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
@@ -212,7 +217,6 @@ def execute(manifest: RunManifest) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    apply_thread_cap()
     manifest = parse_args(sys.argv[1:] if argv is None else argv)
     return execute(manifest)
 

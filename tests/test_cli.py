@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from unitary_forge.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunManifest, execute, parse_args
+from unitary_forge.cli import (
+    EXIT_OK,
+    EXIT_RUNTIME,
+    EXIT_USAGE,
+    RunManifest,
+    _prepare_quanv_demo,
+    execute,
+    parse_args,
+)
 
 
 def write_config(tmp_path, name, payload):
@@ -90,6 +98,15 @@ class TestExecuteBench:
         cfg = write_config(tmp_path, "bad.json", {"qubits": [1]})
         assert execute(RunManifest("bench", cfg, str(tmp_path))) == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+    def test_bad_thread_cap_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("UNITARY_FORGE_THREADS", value)
+        cfg = write_config(tmp_path, "bench.json", BENCH_CONFIG)
+        out = tmp_path / "out"
+        assert execute(RunManifest("bench", cfg, str(out))) == EXIT_USAGE
+        assert "UNITARY_FORGE_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExecuteTrainIdentity:
     def test_writes_train_artifacts(self, tmp_path):
@@ -139,6 +156,19 @@ class TestExecuteQuanvDemo:
         assert "initial_accuracy" in report
         checkpoint = json.loads((out / "checkpoint.json").read_text())
         assert len(checkpoint["circuits"]) == 4
+
+    def test_prepared_runner_is_repeatable(self, tmp_path):
+        dataset = dict(QUANV_CONFIG["dataset"], seed=5)
+        runner = _prepare_quanv_demo(dict(QUANV_CONFIG, dataset=dataset))
+        payloads = []
+        for sub in ("r1", "r2"):
+            out = tmp_path / sub
+            out.mkdir()
+            runner(out)
+            payload = json.loads((out / "train_report.json").read_text())
+            del payload["epoch_times"]  # timing fields excluded
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     def test_unknown_dataset_kind_exits_2(self, tmp_path):
         bad = dict(QUANV_CONFIG, dataset={"kind": "imagenet"})

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from unitary_forge.circuit import rx_ry_generator_params
+from unitary_forge.liegroup import assemble
 from unitary_forge.linalg import (
     matexp,
     matexp_vjp,
@@ -113,6 +115,156 @@ class TestMatexpVjp:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="match"):
             matexp_vjp(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+def vjp_block(a, g):
+    """[[a^H, g], [0, a^H]]: the adjoint is the upper-right block of its exponential."""
+    d = a.shape[0]
+    block = np.zeros((2 * d, 2 * d), dtype=complex)
+    block[:d, :d] = block[d:, d:] = a.conj().T
+    block[:d, d:] = g
+    return block
+
+
+def block_pade_vjp(a, g):
+    """The general-matrix route, through the library's Pade exponential."""
+    return matexp(vjp_block(a, g))[: a.shape[0], a.shape[0] :]
+
+
+def taylor_vjp(a, g):
+    """The same block formula, exponentiated by the extended-precision series."""
+    return taylor_expm(vjp_block(a, g))[: a.shape[0], a.shape[0] :]
+
+
+def rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+def random_cotangent(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def skew_with_spectrum(w, seed):
+    """i Q diag(w) Q^H for a random unitary Q, returned as it rounds (not symmetrized)."""
+    q = random_unitary(len(w), seed=seed)
+    return q @ np.diag(1j * np.asarray(w, dtype=float)) @ q.conj().T
+
+
+def exactly_skew(a):
+    out = (a - a.conj().T) / 2.0
+    assert np.array_equal(out, -out.conj().T)
+    return out
+
+
+class TestSpectralVjp:
+    """Bitwise skew-Hermitian generators take the eigenbasis (Daleckii-Krein) branch."""
+
+    def test_library_generators_are_bitwise_skew(self):
+        rng = np.random.default_rng(1)
+        for a in (
+            assemble(rng.standard_normal(16)),
+            random_skew_hermitian(5, rng, scale=3.0),
+            assemble(rx_ry_generator_params(0.3, 0.7)),
+        ):
+            assert np.array_equal(a, -a.conj().T)
+
+    def test_zero_generator_returns_cotangent(self):
+        g = random_cotangent(4, np.random.default_rng(2))
+        assert np.allclose(matexp_vjp(np.zeros((4, 4), dtype=complex), g), g, atol=1e-14)
+
+    def test_scalar_multiple_of_identity(self):
+        # exp(A^H) commutes with everything here, so the adjoint is exp(-2i) g.
+        g = random_cotangent(3, np.random.default_rng(3))
+        got = matexp_vjp(2j * np.eye(3), g)
+        assert np.allclose(got, np.exp(-2j) * g, atol=1e-14)
+        assert np.allclose(got, fd_expm_vjp(2j * np.eye(3), g), rtol=1e-5, atol=1e-7)
+
+    def test_rx_ry_generator(self):
+        a = assemble(rx_ry_generator_params(0.3, 0.7))
+        g = random_cotangent(4, np.random.default_rng(4))
+        got = matexp_vjp(a, g)
+        assert rel_err(got, taylor_vjp(a, g)) <= 1e-13
+        assert np.allclose(got, fd_expm_vjp(a, g), rtol=1e-5, atol=1e-7)
+
+    def test_near_degenerate_spectrum(self):
+        w = [0.5, 0.5 + 1e-9, 0.5 + 2e-9, -1.0, -1.0 + 1e-9, 2.0]
+        a = exactly_skew(skew_with_spectrum(w, seed=5))
+        g = random_cotangent(6, np.random.default_rng(5))
+        got = matexp_vjp(a, g)
+        assert rel_err(got, taylor_vjp(a, g)) <= 1e-13
+        assert rel_err(got, block_pade_vjp(a, g)) <= 1e-13
+        assert np.allclose(got, fd_expm_vjp(a, g), rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("scale", [20.0, 50.0])
+    def test_large_generators(self, scale):
+        rng = np.random.default_rng(int(scale))
+        a = random_skew_hermitian(6, rng, scale=scale)
+        g = random_cotangent(6, rng)
+        got = matexp_vjp(a, g)
+        assert rel_err(got, taylor_vjp(a, g)) <= 1e-12
+        assert rel_err(got, block_pade_vjp(a, g)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    def test_agrees_with_block_pade(self, d):
+        rng = np.random.default_rng(100 + d)
+        a = random_skew_hermitian(d, rng)
+        g = random_cotangent(d, rng)
+        assert rel_err(matexp_vjp(a, g), block_pade_vjp(a, g)) <= 1e-12
+
+    def test_skew_only_to_rounding_takes_block_route(self):
+        a = skew_with_spectrum([0.3, -1.2, 0.7, 2.5, -0.1], seed=6)
+        assert not np.array_equal(a, -a.conj().T)
+        assert np.abs(a + a.conj().T).max() <= 1e-14
+        g = random_cotangent(5, np.random.default_rng(6))
+        got = matexp_vjp(a, g)
+        assert np.array_equal(got, block_pade_vjp(a, g))
+        assert rel_err(got, taylor_vjp(a, g)) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0, 50.0])
+    def test_matches_scipy_expm_frechet(self, scale):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(200 + int(scale))
+        a = random_skew_hermitian(8, rng, scale=scale)
+        g = random_cotangent(8, rng)
+        ref = scipy_linalg.expm_frechet(a.conj().T, g, compute_expm=False)
+        assert rel_err(matexp_vjp(a, g), ref) <= 1e-12
+
+
+class TestMatexpVjpNonFinite:
+    """Non-finite input raises on both branches, before any decomposition."""
+
+    @staticmethod
+    def skew(d=3):
+        return random_skew_hermitian(d, np.random.default_rng(9))
+
+    def test_nan_in_skew_generator(self):
+        a = self.skew()
+        a[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            matexp_vjp(a, np.eye(3))
+
+    def test_infinite_skew_generator(self):
+        # 1j*inf on the diagonal still satisfies a == -a^H bitwise.
+        a = self.skew()
+        a[1, 1] = complex(0.0, np.inf)
+        assert np.array_equal(a, -a.conj().T)
+        with pytest.raises(ValueError, match="finite"):
+            matexp_vjp(a, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("skew", [True, False])
+    def test_non_finite_cotangent(self, bad, skew):
+        a = self.skew() if skew else np.arange(9.0).reshape(3, 3)
+        g = np.eye(3, dtype=complex)
+        g[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            matexp_vjp(a, g)
+
+    def test_nan_in_general_matrix(self):
+        a = np.arange(9.0).reshape(3, 3).astype(complex)
+        a[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            matexp_vjp(a, np.eye(3))
 
 
 class TestUnitarityError:
