@@ -19,11 +19,11 @@ import csv
 import gc
 import io
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .cli import thread_cap as active_thread_count
 from .models import MODEL_KINDS
 from .optim import TrainConfig, train_identity
 
@@ -46,6 +46,10 @@ class BenchLimit:
     max_qubits: int
     model_kind: str | None = None
     batch_size: int | None = None
+
+    def __post_init__(self):
+        if self.max_qubits < 0:
+            raise ValueError(f"limit max_qubits must be >= 0, got {self.max_qubits}")
 
     def excludes(self, n_qubits: int, model_kind: str, batch_size: int) -> bool:
         if self.model_kind is not None and self.model_kind != model_kind:
@@ -84,14 +88,7 @@ class BenchConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchConfig":
         payload = dict(payload)
-        limits = tuple(
-            BenchLimit(
-                max_qubits=item["max_qubits"],
-                model_kind=item.get("model_kind"),
-                batch_size=item.get("batch_size"),
-            )
-            for item in payload.pop("limits", [])
-        )
+        limits = tuple(BenchLimit(**item) for item in payload.pop("limits", []))
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:
@@ -107,14 +104,7 @@ class BenchConfig:
             "model_kinds": list(self.model_kinds),
             "seed": self.seed,
             "learning_rate": self.learning_rate,
-            "limits": [
-                {
-                    "max_qubits": lim.max_qubits,
-                    "model_kind": lim.model_kind,
-                    "batch_size": lim.batch_size,
-                }
-                for lim in self.limits
-            ],
+            "limits": [asdict(lim) for lim in self.limits],
         }
 
 
@@ -168,14 +158,6 @@ class BenchReport:
         return None
 
 
-def active_thread_count() -> int:
-    """Thread cap the timed workload runs under (env override or CPU count)."""
-    cap = os.environ.get("UNITARY_FORGE_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
-
-
 def run_bench(cfg: BenchConfig) -> BenchReport:
     """Sweep (model kind, batch size, qubit count) cells sequentially.
 
@@ -184,8 +166,11 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     to match the full model's parameter count. A cell that runs out of
     memory is recorded under failures and the sweep continues. Garbage
     collection is paused for the sweep: a collection pause is larger than
-    an entire epoch at small qubit counts.
+    an entire epoch at small qubit counts. meta.threads is the
+    UNITARY_FORGE_THREADS cap, or None when none is set; an invalid cap
+    raises before the first cell runs.
     """
+    threads = active_thread_count()
     rows: list[BenchRow] = []
     failures: list[dict] = []
     gc_was_enabled = gc.isenabled()
@@ -226,7 +211,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         "epochs": cfg.epochs,
         "dataset_size": cfg.dataset_size,
         "seed": cfg.seed,
-        "threads": active_thread_count(),
+        "threads": threads,
     }
     return BenchReport(rows, meta, failures)
 

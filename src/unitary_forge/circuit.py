@@ -385,6 +385,11 @@ def z_expectations_raw(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     return probs @ z_signs(n_qubits)
 
 
+def z_expectations_vjp(g: np.ndarray, amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """State cotangent of E = |psi|^2 @ signs under Re<c, psi>, given g = dL/dE."""
+    return 2.0 * (g @ z_signs(n_qubits).T) * amps
+
+
 def rx_encode_raw(features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     b, n = features.shape

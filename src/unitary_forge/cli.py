@@ -57,21 +57,31 @@ class RunManifest:
             raise ValueError("config path and output directory must be non-empty")
 
 
-def apply_thread_cap() -> None:
-    """Propagate UNITARY_FORGE_THREADS into the BLAS pool env knobs.
+def thread_cap() -> int | None:
+    """The UNITARY_FORGE_THREADS cap, or None when the variable is unset.
 
-    Must run before numpy is first imported to take effect. Raises
-    ValueError naming the variable unless it is a positive integer.
+    Raises ValueError naming the variable unless it is a positive integer.
     """
     raw = os.environ.get("UNITARY_FORGE_THREADS")
     if not raw:
-        return
+        return None
     try:
         cap = int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
         raise ValueError(f"UNITARY_FORGE_THREADS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def apply_thread_cap() -> None:
+    """Propagate UNITARY_FORGE_THREADS into the BLAS pool env knobs.
+
+    Must run before numpy is first imported to take effect.
+    """
+    cap = thread_cap()
+    if cap is None:
+        return
     for name in _THREAD_ENV_TARGETS:
         os.environ[name] = str(cap)
 
@@ -115,6 +125,7 @@ def _prepare_bench(config: dict):
 
 
 def _prepare_train_identity(config: dict):
+    from .circuit import cyclic_partitions
     from .optim import TrainConfig, loss_curve_csv, train_identity, train_report_to_json
 
     seed = config.pop("seed", None)
@@ -126,6 +137,8 @@ def _prepare_train_identity(config: dict):
     if seed is not None:
         train["seed"] = seed
     cfg = TrainConfig.from_dict(train)
+    if cfg.model_kind == "Partitioned":  # raises unless the group size divides n_qubits
+        cyclic_partitions(n_qubits, cfg.partition_group_size, cfg.partition_layers)
 
     def run(out_dir: Path) -> None:
         report = train_identity(cfg, n_qubits, dataset_size)
@@ -167,16 +180,23 @@ def _prepare_quanv_demo(config: dict):
     else:
         raise ValueError(f"unknown dataset kind {kind!r}")
 
-    def run(out_dir: Path) -> None:
+    def load():
         if kind == "synthetic":
-            imgs, labels = synthetic_two_class(**{"n_images": 64, "seed": cfg.seed, **dataset})
-        else:
-            imgs, labels = load_image_csv(
-                dataset["path"],
-                channels=dataset.get("channels", 16),
-                height=dataset.get("height", 8),
-                width=dataset.get("width", 8),
-            )
+            return synthetic_two_class(**{"n_images": 64, "seed": cfg.seed, **dataset})
+        return load_image_csv(
+            dataset["path"],
+            channels=dataset.get("channels", 16),
+            height=dataset.get("height", 8),
+            width=dataset.get("width", 8),
+        )
+
+    # The images are loaded while the config is parsed, so a malformed CSV
+    # exits 2 before the output directory is made. A CSV file that does not
+    # exist stays a runtime failure: the runner's own load raises.
+    data = None if kind == "csv" and not os.path.exists(dataset["path"]) else load()
+
+    def run(out_dir: Path) -> None:
+        imgs, labels = data or load()
         spec = random_quanv_spec(cfg.seed, **spec_overrides) if spec_overrides else None
         report = train_quanv_demo(imgs, labels, cfg, spec=spec)
         (out_dir / "train_report.json").write_text(report.to_json())

@@ -3,7 +3,12 @@
 Every model owns a flat real parameter vector and maps a (B, 2^N) batch of
 input amplitudes to output amplitudes. `forward` returns the outputs plus
 whatever the reverse pass needs; `backward` turns a state cotangent (under
-Re<c, psi>) into a gradient on the flat vector.
+Re<c, psi>) into a gradient on the flat vector. One private base holds the
+vector and the rest of the protocol (`n_params`, `get_params`,
+`set_params`, `apply`, `serialized`); a model adds only its own
+constructors, `forward`, `backward` and serialization payload. This is the
+only module that runs the generator -> unitary -> adjoint chain: the
+quanv layer runs each of its circuits as a FullUnitaryModel.
 
 Three families cover the expressivity spectrum:
 
@@ -43,22 +48,9 @@ __all__ = ["FullUnitaryModel", "PartitionedModel", "AnsatzModel", "MODEL_KINDS"]
 MODEL_KINDS = ("FullUnitary", "Partitioned", "Ansatz")
 
 
-class FullUnitaryModel:
-    """U(2^N) model: theta -> exp(assemble(theta)) applied to all wires."""
-
-    kind = "FullUnitary"
-
-    def __init__(self, n_qubits: int, theta: np.ndarray):
-        self.n_qubits = n_qubits
-        self.dim = 2 ** n_qubits
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != self.dim ** 2:
-            raise ValueError(f"expected {self.dim ** 2} parameters, got {theta.size}")
-        self.theta = theta.copy()
-
-    @classmethod
-    def random(cls, n_qubits: int, seed: int, scale: float | None = None) -> "FullUnitaryModel":
-        return cls(n_qubits, random_params(2 ** n_qubits, seed, scale))
+class _Model:
+    """Shared protocol: a subclass sets `kind` and `n_qubits`, stores `theta`
+    through _set_theta, and adds `forward`, `backward` and `_payload()`."""
 
     @property
     def n_params(self) -> int:
@@ -68,10 +60,35 @@ class FullUnitaryModel:
         return self.theta.copy()
 
     def set_params(self, theta: np.ndarray) -> None:
+        self._set_theta(theta, self.n_params)
+
+    def _set_theta(self, theta: np.ndarray, expected: int) -> None:
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != self.n_params:
-            raise ValueError("parameter length changed")
+        if theta.size != expected:
+            raise ValueError(f"parameter vector length {theta.size}, expected {expected}")
         self.theta = theta.copy()
+
+    def apply(self, s: StateBatch) -> StateBatch:
+        out, _ = self.forward(s.amplitudes)
+        return StateBatch(out)
+
+    def serialized(self) -> dict:
+        return {"model_kind": self.kind, "n_qubits": self.n_qubits, "payload": self._payload()}
+
+
+class FullUnitaryModel(_Model):
+    """U(2^N) model: theta -> exp(assemble(theta)) applied to all wires."""
+
+    kind = "FullUnitary"
+
+    def __init__(self, n_qubits: int, theta: np.ndarray):
+        self.n_qubits = n_qubits
+        self.dim = 2 ** n_qubits
+        self._set_theta(theta, self.dim ** 2)
+
+    @classmethod
+    def random(cls, n_qubits: int, seed: int, scale: float | None = None) -> "FullUnitaryModel":
+        return cls(n_qubits, random_params(2 ** n_qubits, seed, scale))
 
     def forward(self, amps: np.ndarray):
         x = assemble(self.theta)
@@ -84,19 +101,11 @@ class FullUnitaryModel:
         ubar = cot.T @ in_amps.conj()
         return param_grad(matexp_vjp(x, ubar))
 
-    def apply(self, s: StateBatch) -> StateBatch:
-        out, _ = self.forward(s.amplitudes)
-        return StateBatch(out)
-
-    def serialized(self) -> dict:
-        return {
-            "model_kind": self.kind,
-            "n_qubits": self.n_qubits,
-            "payload": {"dim": self.dim, "theta": self.theta.tolist()},
-        }
+    def _payload(self) -> dict:
+        return {"dim": self.dim, "theta": self.theta.tolist()}
 
 
-class PartitionedModel:
+class PartitionedModel(_Model):
     """Stack of wire partitions, each group carrying its own small generator."""
 
     kind = "Partitioned"
@@ -104,9 +113,8 @@ class PartitionedModel:
     def __init__(self, n_qubits: int, partitions: list[WirePartition], theta: np.ndarray):
         self.n_qubits = n_qubits
         self.partitions = list(partitions)
-        for p in self.partitions:
-            if p.n_qubits != n_qubits:
-                raise ValueError("partition wire count does not match the model")
+        if any(p.n_qubits != n_qubits for p in self.partitions):
+            raise ValueError("partition wire count does not match the model")
         # Flat layout: layers in order, groups in order within each layer.
         self._slices: list[tuple[tuple[int, ...], slice]] = []
         offset = 0
@@ -115,10 +123,7 @@ class PartitionedModel:
                 size = (2 ** len(group)) ** 2
                 self._slices.append((group, slice(offset, offset + size)))
                 offset += size
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != offset:
-            raise ValueError(f"expected {offset} parameters, got {theta.size}")
-        self.theta = theta.copy()
+        self._set_theta(theta, offset)
 
     @classmethod
     def random(
@@ -139,19 +144,6 @@ class PartitionedModel:
                 chunks.append(s * rng.standard_normal(d * d))
         return cls(n_qubits, partitions, np.concatenate(chunks))
 
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def get_params(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_params(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != self.n_params:
-            raise ValueError("parameter length changed")
-        self.theta = theta.copy()
-
     def forward(self, amps: np.ndarray):
         apps = []
         out = amps
@@ -170,31 +162,16 @@ class PartitionedModel:
             cot = apply_group_raw(cot, self.n_qubits, group, u.conj().T)
         return grad
 
-    def apply(self, s: StateBatch) -> StateBatch:
-        out, _ = self.forward(s.amplitudes)
-        return StateBatch(out)
-
     def as_partitioned_unitary(self) -> PartitionedUnitary:
-        layers = []
-        idx = 0
-        for p in self.partitions:
-            thetas = []
-            for _ in p.groups:
-                _, sl = self._slices[idx]
-                thetas.append(self.theta[sl].copy())
-                idx += 1
-            layers.append((p, tuple(thetas)))
-        return PartitionedUnitary(self.n_qubits, tuple(layers))
+        thetas = iter(self.theta[sl].copy() for _, sl in self._slices)
+        layers = tuple((p, tuple(next(thetas) for _ in p.groups)) for p in self.partitions)
+        return PartitionedUnitary(self.n_qubits, layers)
 
-    def serialized(self) -> dict:
-        return {
-            "model_kind": self.kind,
-            "n_qubits": self.n_qubits,
-            "payload": json.loads(self.as_partitioned_unitary().to_json()),
-        }
+    def _payload(self) -> dict:
+        return json.loads(self.as_partitioned_unitary().to_json())
 
 
-class AnsatzModel:
+class AnsatzModel(_Model):
     """Composed-gate circuit whose rotation angles are the parameters.
 
     The reverse pass is adjoint-style: instead of caching one state per
@@ -216,19 +193,6 @@ class AnsatzModel:
         if angle_scale != 1.0:
             model.set_params(model.theta * angle_scale)
         return model
-
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def get_params(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_params(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != self.n_params:
-            raise ValueError("parameter length changed")
-        self.theta = theta.copy()
 
     def _gate_u(self, op, angle_idx: int) -> np.ndarray:
         if op.kind == "CNOT":
@@ -262,16 +226,8 @@ class AnsatzModel:
             psi = psi_in
         return grad
 
-    def apply(self, s: StateBatch) -> StateBatch:
-        out, _ = self.forward(s.amplitudes)
-        return StateBatch(out)
-
     def circuit(self) -> AnsatzCircuit:
         return self.template.with_angles(self.theta)
 
-    def serialized(self) -> dict:
-        return {
-            "model_kind": self.kind,
-            "n_qubits": self.n_qubits,
-            "payload": json.loads(self.circuit().to_json()),
-        }
+    def _payload(self) -> dict:
+        return json.loads(self.circuit().to_json())

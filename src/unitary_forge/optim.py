@@ -17,11 +17,11 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circuit import rx_encode, rx_encode_raw, z_expectations_raw, z_signs
+from .circuit import rx_encode, rx_encode_raw, z_expectations_raw, z_expectations_vjp
 from .models import AnsatzModel, FullUnitaryModel, MODEL_KINDS, PartitionedModel
 
 __all__ = [
@@ -139,10 +139,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 def loss_and_grad(model, features: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and parameter gradient of the encode -> model -> Z-decode chain.
 
-    The state cotangent of the decode step at output psi is
-    2 * (dL/dE @ signs^T) * psi; the model maps that back to its flat
-    parameter vector (summing the per-row outer products into a matrix
-    cotangent, then through the exponential adjoint where applicable).
+    The decode step's state cotangent (z_expectations_vjp) goes to the
+    model, which maps it back to its flat parameter vector (summing the
+    per-row outer products into a matrix cotangent, then through the
+    exponential adjoint where applicable).
     """
     s0 = rx_encode(features)
     n = s0.n_qubits
@@ -153,9 +153,7 @@ def loss_and_grad(model, features: np.ndarray, targets: np.ndarray) -> tuple[flo
     out, cache = model.forward(s0.amplitudes)
     pred = z_expectations_raw(out, n)
     loss, g_pred = mse_loss(pred, targets)
-    cot = 2.0 * (g_pred @ z_signs(n).T) * out
-    grad = model.backward(cache, cot)
-    return loss, grad
+    return loss, model.backward(cache, z_expectations_vjp(g_pred, out, n))
 
 
 def build_model(cfg: TrainConfig, n_qubits: int, seed: int):
@@ -190,9 +188,16 @@ def identity_dataset(n_qubits: int, dataset_size: int, seed: int) -> tuple[np.nd
     return features, targets
 
 
-def _epoch_batches(n_rows: int, batch_size: int):
-    for start in range(0, n_rows, batch_size):
-        yield slice(start, min(start + batch_size, n_rows))
+def _run_epoch(model, params, state, cfg: TrainConfig, features, targets):
+    """One pass of minibatch Adam; returns params, state and the batch losses."""
+    losses = []
+    for start in range(0, len(features), cfg.batch_size):
+        rows = slice(start, start + cfg.batch_size)
+        loss, grad = loss_and_grad(model, features[rows], targets[rows])
+        params, state = adam_step(params, grad, state, cfg)
+        model.set_params(params)
+        losses.append(loss)
+    return params, state, losses
 
 
 def train_identity(
@@ -210,39 +215,24 @@ def train_identity(
     features, targets = identity_dataset(n_qubits, dataset_size, data_seed)
     model = build_model(cfg, n_qubits, model_seed)
 
-    if warmup:
-        saved = model.get_params()
-        state = adam_init(model.n_params)
-        params = model.get_params()
-        for rows in _epoch_batches(dataset_size, cfg.batch_size):
-            _, grad = loss_and_grad(model, features[rows], targets[rows])
-            params, state = adam_step(params, grad, state, cfg)
-            model.set_params(params)
-        model.set_params(saved)
-
     params = model.get_params()
+    if warmup:
+        _run_epoch(model, params, adam_init(model.n_params), cfg, features, targets)
+        model.set_params(params)
+
     state = adam_init(model.n_params)
     loss_curve: list[float] = []
     epoch_times: list[float] = []
     for _ in range(cfg.epochs):
         tic = time.perf_counter()
-        losses = []
-        for rows in _epoch_batches(dataset_size, cfg.batch_size):
-            loss, grad = loss_and_grad(model, features[rows], targets[rows])
-            params, state = adam_step(params, grad, state, cfg)
-            model.set_params(params)
-            losses.append(loss)
+        params, state, losses = _run_epoch(model, params, state, cfg, features, targets)
         epoch_times.append(time.perf_counter() - tic)
         loss_curve.append(float(np.mean(losses)))
     return TrainReport(loss_curve, epoch_times, model.serialized())
 
 
 def train_report_to_json(report: TrainReport, context: dict | None = None) -> str:
-    payload = {
-        "loss_curve": report.loss_curve,
-        "epoch_times": report.epoch_times,
-        "final_params": report.final_params,
-    }
+    payload = asdict(report)
     if context:
         payload["context"] = context
     return json.dumps(payload, indent=2)

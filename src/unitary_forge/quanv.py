@@ -7,9 +7,10 @@ unitary is applied, and the four Z expectations are averaged into a
 scalar. Averaging keeps every value inside [-1, 1]. With the default
 16 -> 8 channel map and blocks of 4 this builds 8 * 4 = 32 circuits.
 
-The demo classifier puts a linear-softmax head on the flattened feature
-maps and trains head and circuits jointly through the same exponential
-adjoint chain as the identity task.
+Every circuit is a FullUnitaryModel, so the forward and reverse passes go
+through the same generator -> unitary -> adjoint chain as the identity
+task. The demo classifier puts a linear-softmax head on the flattened
+feature maps and trains head and circuits jointly.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import rx_encode_raw, z_expectations_raw, z_signs
-from .liegroup import assemble, param_grad, random_params
-from .linalg import matexp, matexp_vjp
+from .circuit import rx_encode_raw, z_expectations_raw, z_expectations_vjp
+from .liegroup import random_params
+# Unused here (circuits exponentiate in FullUnitaryModel), but kept bound:
+# perfbench/test_perfbench.py asserts that tracing wraps quanv.matexp.
+from .linalg import matexp  # noqa: F401
+from .models import FullUnitaryModel
+# The quanv_c32 benchmark times steps with a shim on quanv.adam_step.
 from .optim import TrainConfig, adam_init, adam_step, derive_seeds
 
 __all__ = [
@@ -170,15 +175,13 @@ def _forward_cached(imgs: ImageBatch, spec: QuanvSpec):
     circuit_cache = []
     for o in range(spec.out_channels):
         for blk in range(n_blocks):
-            theta = spec.circuits[o * n_blocks + blk]
-            x = assemble(theta)
-            u = matexp(x)
-            states = encoded[blk] @ u.T
+            model = FullUnitaryModel(spec.n_qubits, spec.circuits[o * n_blocks + blk])
+            states, model_cache = model.forward(encoded[blk])
             zmean = z_expectations_raw(states, spec.n_qubits).mean(axis=1)
             out[:, o] += zmean.reshape(b, hp, wp)
-            circuit_cache.append((o, blk, x, states))
+            circuit_cache.append((o, model, states, model_cache))
     out /= n_blocks
-    return out, (encoded, circuit_cache, (b, hp, wp))
+    return out, circuit_cache
 
 
 def quanv_forward(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
@@ -189,17 +192,12 @@ def quanv_forward(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
 
 def _backward_circuits(spec: QuanvSpec, cache, d_out: np.ndarray) -> list[np.ndarray]:
     """Per-circuit parameter gradients given dL/d(feature maps)."""
-    encoded, circuit_cache, (b, hp, wp) = cache
-    n_blocks = spec.n_blocks
-    signs = z_signs(spec.n_qubits)
-    grads = [np.zeros_like(t) for t in spec.circuits]
-    scale = 1.0 / (n_blocks * spec.n_qubits)
-    for o, blk, x, states in circuit_cache:
+    scale = 1.0 / (spec.n_blocks * spec.n_qubits)
+    grads = []
+    for o, model, states, model_cache in cache:
         g_rows = d_out[:, o].reshape(-1) * scale
         gz = g_rows[:, None] * np.ones((1, spec.n_qubits))
-        cot = 2.0 * (gz @ signs.T) * states
-        ubar = cot.T @ encoded[blk].conj()
-        grads[o * n_blocks + blk] = param_grad(matexp_vjp(x, ubar))
+        grads.append(model.backward(model_cache, z_expectations_vjp(gz, states, spec.n_qubits)))
     return grads
 
 
@@ -212,16 +210,7 @@ class QuanvReport:
     final_params: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "initial_accuracy": self.initial_accuracy,
-                "accuracy_curve": self.accuracy_curve,
-                "loss_curve": self.loss_curve,
-                "epoch_times": self.epoch_times,
-                "final_params": self.final_params,
-            },
-            indent=2,
-        )
+        return json.dumps(dataclasses.asdict(self), indent=2)
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -369,15 +358,38 @@ def scale_pixels(raw: np.ndarray, lo: float | None = None, hi: float | None = No
 def load_image_csv(
     path, channels: int, height: int, width: int, rescale: bool = True
 ) -> tuple[ImageBatch, np.ndarray]:
-    """Read images from CSV rows of label followed by C*H*W flat pixels."""
+    """Read images from CSV rows of label followed by C*H*W flat pixels.
+
+    Raises ValueError naming the 1-based row for a row of the wrong width,
+    a label that is not a non-negative integer, or a pixel that is not a
+    finite number, and for a file without rows.
+    """
+    n_pixels = channels * height * width
     labels = []
     rows = []
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
+        for row, record in enumerate(csv.reader(fh), start=1):
             if not record:
                 continue
-            labels.append(int(record[0]))
-            rows.append([float(v) for v in record[1:]])
+            where = f"{path} row {row}"
+            if len(record) != 1 + n_pixels:
+                raise ValueError(f"{where}: expected a label and {n_pixels} pixels, got {len(record)} values")
+            try:
+                label = int(record[0])
+            except ValueError:
+                raise ValueError(f"{where}: label {record[0]!r} is not an integer") from None
+            if label < 0:
+                raise ValueError(f"{where}: label {label} is negative")
+            try:
+                pixels = [float(v) for v in record[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not np.isfinite(pixels).all():
+                raise ValueError(f"{where}: pixel values must be finite")
+            rows.append(pixels)
+            labels.append(label)
+    if not rows:
+        raise ValueError(f"{path} holds no image rows")
     pixels = np.asarray(rows).reshape(len(rows), channels, height, width)
     if rescale:
         pixels = scale_pixels(pixels)

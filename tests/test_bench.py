@@ -44,6 +44,11 @@ class TestBenchConfig:
         back = BenchConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
+    def test_limit_rejects_negative_max_qubits(self):
+        assert BenchLimit(max_qubits=0).excludes(1, "FullUnitary", 1)
+        with pytest.raises(ValueError, match="max_qubits"):
+            BenchLimit(max_qubits=-1)
+
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
             BenchConfig.from_dict({"qubits": [1]})
@@ -80,10 +85,23 @@ class TestRunBench:
         assert (1, 2) not in cells
         assert (4, 2) in cells
 
-    def test_meta_reports_threads(self):
+    def test_meta_reports_threads(self, monkeypatch):
+        monkeypatch.delenv("UNITARY_FORGE_THREADS", raising=False)
         report = run_bench(tiny_config(qubit_range=(1,)))
-        assert report.meta["threads"] >= 1
+        assert report.meta["threads"] is None
         assert report.meta["epochs"] == 3
+        monkeypatch.setenv("UNITARY_FORGE_THREADS", "3")
+        assert run_bench(tiny_config(qubit_range=(1,))).meta["threads"] == 3
+
+    def test_bad_thread_cap_raises_before_the_first_cell(self, monkeypatch):
+        import unitary_forge.bench as bench
+
+        cells = []
+        monkeypatch.setattr(bench, "train_identity", lambda *args, **kw: cells.append(args))
+        monkeypatch.setenv("UNITARY_FORGE_THREADS", "0")
+        with pytest.raises(ValueError, match="UNITARY_FORGE_THREADS"):
+            run_bench(tiny_config())
+        assert cells == []
 
     def test_identity_workload_across_kinds(self):
         # both kinds expose 4^N parameters over the same dataset seed

@@ -107,6 +107,14 @@ class TestExecuteBench:
         assert "UNITARY_FORGE_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_limit_exits_2_before_any_work(self, tmp_path, capsys):
+        bad = dict(BENCH_CONFIG, limits=[{"max_qubits": -1}])
+        cfg = write_config(tmp_path, "bench.json", bad)
+        out = tmp_path / "out"
+        assert execute(RunManifest("bench", cfg, str(out))) == EXIT_USAGE
+        assert "max_qubits" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExecuteTrainIdentity:
     def test_writes_train_artifacts(self, tmp_path):
@@ -144,6 +152,14 @@ class TestExecuteTrainIdentity:
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_partition_group_not_dividing_wires_exits_2(self, tmp_path, capsys):
+        train = dict(TRAIN_CONFIG["train"], model_kind="Partitioned", partition_group_size=3)
+        cfg = write_config(tmp_path, "train.json", dict(TRAIN_CONFIG, train=train))
+        out = tmp_path / "out"
+        assert execute(RunManifest("train-identity", cfg, str(out))) == EXIT_USAGE
+        assert "group size 3 must divide the wire count 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExecuteQuanvDemo:
     def test_writes_artifacts(self, tmp_path):
@@ -179,3 +195,39 @@ class TestExecuteQuanvDemo:
         bad = dict(QUANV_CONFIG, dataset={"kind": "csv", "path": str(tmp_path / "missing.csv")})
         cfg = write_config(tmp_path, "quanv.json", bad)
         assert execute(RunManifest("quanv-demo", cfg, str(tmp_path / "o"))) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("0,0.5,0.5", "row 4: expected a label and 64 pixels, got 3 values"),
+            ("-1," + ",".join(["0.5"] * 64), "row 4: label -1 is negative"),
+            ("one," + ",".join(["0.5"] * 64), "row 4: label 'one' is not an integer"),
+        ],
+    )
+    def test_malformed_csv_exits_2_naming_the_row(self, tmp_path, capsys, bad_row, message):
+        from unitary_forge.quanv import images_to_csv, synthetic_two_class
+
+        imgs, labels = synthetic_two_class(3, seed=16, channels=4, height=4, width=4)
+        path = tmp_path / "images.csv"
+        images_to_csv(imgs, labels, path)
+        with open(path, "a") as fh:
+            fh.write(bad_row + "\n")
+        dataset = {"kind": "csv", "path": str(path), "channels": 4, "height": 4, "width": 4}
+        cfg = write_config(tmp_path, "quanv.json", dict(QUANV_CONFIG, dataset=dataset))
+        out = tmp_path / "out"
+        assert execute(RunManifest("quanv-demo", cfg, str(out))) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_dataset_trains(self, tmp_path):
+        from unitary_forge.quanv import images_to_csv, synthetic_two_class
+
+        imgs, labels = synthetic_two_class(8, seed=17, channels=4, height=4, width=4)
+        path = tmp_path / "images.csv"
+        images_to_csv(imgs, labels, path)
+        dataset = {"kind": "csv", "path": str(path), "channels": 4, "height": 4, "width": 4}
+        cfg = write_config(tmp_path, "quanv.json", dict(QUANV_CONFIG, dataset=dataset))
+        out = tmp_path / "out"
+        assert execute(RunManifest("quanv-demo", cfg, str(out))) == EXIT_OK
+        report = json.loads((out / "train_report.json").read_text())
+        assert len(report["accuracy_curve"]) == 2

@@ -241,3 +241,31 @@ class TestCsvIngestion:
         assert labels.tolist() == [0, 1]
         assert loaded.pixels.min() == pytest.approx(-np.pi / 2)
         assert loaded.pixels.max() == pytest.approx(np.pi / 2)
+
+    def test_empty_file_is_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="no image rows"):
+            load_image_csv(path, channels=1, height=2, width=2)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("1,0.1,0.2,0.3", "row 3: expected a label and 4 pixels, got 4 values"),
+            ("1,0.1,0.2,0.3,0.4,0.5", "row 3: expected a label and 4 pixels, got 6 values"),
+            ("1.5,0.1,0.2,0.3,0.4", "row 3: label '1.5' is not an integer"),
+            ("cat,0.1,0.2,0.3,0.4", "row 3: label 'cat' is not an integer"),
+            ("-1,0.1,0.2,0.3,0.4", "row 3: label -1 is negative"),
+            ("1,0.1,x,0.3,0.4", "row 3: could not convert"),
+            ("1,0.1,nan,0.3,0.4", "row 3: pixel values must be finite"),
+            ("1,0.1,0.2,inf,0.4", "row 3: pixel values must be finite"),
+        ],
+    )
+    def test_bad_row_is_named(self, tmp_path, bad_row, message):
+        imgs, labels = synthetic_two_class(2, seed=15, channels=1, height=2, width=2)
+        path = tmp_path / "bad.csv"
+        images_to_csv(imgs, labels, path)
+        with open(path, "a") as fh:
+            fh.write(bad_row + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_image_csv(path, channels=1, height=2, width=2)
