@@ -19,7 +19,7 @@ import csv
 import gc
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -96,16 +96,7 @@ class BenchConfig:
         return cls(limits=limits, **payload)
 
     def to_dict(self) -> dict:
-        return {
-            "qubit_range": list(self.qubit_range),
-            "epochs": self.epochs,
-            "dataset_size": self.dataset_size,
-            "batch_sizes": list(self.batch_sizes),
-            "model_kinds": list(self.model_kinds),
-            "seed": self.seed,
-            "learning_rate": self.learning_rate,
-            "limits": [asdict(lim) for lim in self.limits],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -251,15 +242,8 @@ def emit_report(report: BenchReport, fmt: str) -> str:
         payload = {
             "meta": report.meta,
             "rows": [
-                {
-                    "n_qubits": row.n_qubits,
-                    "model_kind": row.model_kind,
-                    "batch_size": row.batch_size,
-                    "dataset_size": row.dataset_size,
-                    "epoch_seconds": row.epoch_seconds,
-                    "mean_epoch_seconds": row.mean_epoch_seconds,
-                    "std_epoch_seconds": row.std_epoch_seconds,
-                }
+                asdict(row)
+                | {"mean_epoch_seconds": row.mean_epoch_seconds, "std_epoch_seconds": row.std_epoch_seconds}
                 for row in report.rows
             ],
             "failures": report.failures,
@@ -286,14 +270,6 @@ def emit_report(report: BenchReport, fmt: str) -> str:
 
 def report_from_json(text: str) -> BenchReport:
     payload = json.loads(text)
-    rows = [
-        BenchRow(
-            r["n_qubits"],
-            r["model_kind"],
-            r["batch_size"],
-            r["dataset_size"],
-            list(r["epoch_seconds"]),
-        )
-        for r in payload["rows"]
-    ]
+    names = [f.name for f in fields(BenchRow)]
+    rows = [BenchRow(**{name: r[name] for name in names}) for r in payload["rows"]]
     return BenchReport(rows, payload.get("meta", {}), payload.get("failures", []))

@@ -153,6 +153,7 @@ def _prepare_train_identity(config: dict):
 def _prepare_quanv_demo(config: dict):
     from .optim import TrainConfig
     from .quanv import (
+        _n_classes,
         load_image_csv,
         random_quanv_spec,
         synthetic_two_class,
@@ -183,16 +184,19 @@ def _prepare_quanv_demo(config: dict):
     def load():
         if kind == "synthetic":
             return synthetic_two_class(**{"n_images": 64, "seed": cfg.seed, **dataset})
-        return load_image_csv(
+        imgs, labels = load_image_csv(
             dataset["path"],
             channels=dataset.get("channels", 16),
             height=dataset.get("height", 8),
             width=dataset.get("width", 8),
         )
+        _n_classes(labels)  # the check train_quanv_demo runs
+        return imgs, labels
 
-    # The images are loaded while the config is parsed, so a malformed CSV
-    # exits 2 before the output directory is made. A CSV file that does not
-    # exist stays a runtime failure: the runner's own load raises.
+    # The images are loaded while the config is parsed, so a malformed CSV or
+    # labels that skip a class exit 2 before the output directory is made. A
+    # CSV file that does not exist stays a runtime failure: the runner's own
+    # load raises.
     data = None if kind == "csv" and not os.path.exists(dataset["path"]) else load()
 
     def run(out_dir: Path) -> None:

@@ -1,4 +1,4 @@
-"""Losses, Adam updates, and the identity-learning training loop.
+"""Losses, Adam updates, the one minibatch-Adam loop (fit), and the identity task.
 
 The training chain is: RX-encode features, push the batch through a model
 (full unitary, partitioned, or composed-gate), decode per-wire Z
@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "TrainReport",
     "adam_init",
     "adam_step",
+    "fit",
     "mse_loss",
     "loss_and_grad",
     "build_model",
@@ -188,16 +189,33 @@ def identity_dataset(n_qubits: int, dataset_size: int, seed: int) -> tuple[np.nd
     return features, targets
 
 
-def _run_epoch(model, params, state, cfg: TrainConfig, features, targets):
-    """One pass of minibatch Adam; returns params, state and the batch losses."""
-    losses = []
-    for start in range(0, len(features), cfg.batch_size):
-        rows = slice(start, start + cfg.batch_size)
-        loss, grad = loss_and_grad(model, features[rows], targets[rows])
-        params, state = adam_step(params, grad, state, cfg)
-        model.set_params(params)
-        losses.append(loss)
-    return params, state, losses
+def fit(params, batch_loss_grad, n_rows: int, cfg: TrainConfig, step, after_epoch=None):
+    """cfg.epochs passes of minibatch Adam over the flat vector params.
+
+    batch_loss_grad(params, rows) gives the loss and gradient of the rows
+    slice of 0..n_rows. step is the Adam update; each caller passes its own
+    module binding, which tracing wraps. after_epoch(params) runs inside
+    the epoch's timing. Returns the final vector and each epoch's mean batch
+    loss and wall time. A non-finite batch loss or gradient raises
+    FloatingPointError naming the 1-based epoch and batch, before the update.
+    """
+    state = adam_init(params.size)
+    loss_curve: list[float] = []
+    epoch_times: list[float] = []
+    for epoch in range(1, cfg.epochs + 1):
+        tic = time.perf_counter()
+        losses = []
+        for batch, start in enumerate(range(0, n_rows, cfg.batch_size), start=1):
+            loss, grad = batch_loss_grad(params, slice(start, start + cfg.batch_size))
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
+                raise FloatingPointError(f"non-finite loss or gradient at epoch {epoch}, batch {batch}")
+            params, state = step(params, grad, state, cfg)
+            losses.append(loss)
+        if after_epoch is not None:
+            after_epoch(params)
+        epoch_times.append(time.perf_counter() - tic)
+        loss_curve.append(float(np.mean(losses)))
+    return params, loss_curve, epoch_times
 
 
 def train_identity(
@@ -205,29 +223,25 @@ def train_identity(
 ) -> TrainReport:
     """Train a model to act as the identity on encoded random data.
 
-    Runs cfg.epochs passes of minibatch Adam over a seeded dataset and
-    logs the wall-clock time of every epoch. The loss recorded per epoch
-    is the mean of the minibatch losses evaluated before each update.
-    With warmup=True one untimed epoch runs first on a throwaway copy of
-    the parameters, so allocation effects stay out of the measurements.
+    Runs cfg.epochs passes of minibatch Adam (fit) over a seeded dataset
+    and logs the wall-clock time of every epoch. The loss recorded per
+    epoch is the mean of the minibatch losses evaluated before each update.
+    With warmup=True one untimed epoch runs first from the same initial
+    parameters and is discarded, so allocation stays out of the timings.
     """
     data_seed, model_seed = derive_seeds(cfg.seed, 2)
     features, targets = identity_dataset(n_qubits, dataset_size, data_seed)
     model = build_model(cfg, n_qubits, model_seed)
 
-    params = model.get_params()
-    if warmup:
-        _run_epoch(model, params, adam_init(model.n_params), cfg, features, targets)
+    def batch_loss_grad(params, rows):
         model.set_params(params)
+        return loss_and_grad(model, features[rows], targets[rows])
 
-    state = adam_init(model.n_params)
-    loss_curve: list[float] = []
-    epoch_times: list[float] = []
-    for _ in range(cfg.epochs):
-        tic = time.perf_counter()
-        params, state, losses = _run_epoch(model, params, state, cfg, features, targets)
-        epoch_times.append(time.perf_counter() - tic)
-        loss_curve.append(float(np.mean(losses)))
+    initial = model.get_params()
+    if warmup:
+        fit(initial, batch_loss_grad, dataset_size, replace(cfg, epochs=1), adam_step)
+    params, loss_curve, epoch_times = fit(initial, batch_loss_grad, dataset_size, cfg, adam_step)
+    model.set_params(params)
     return TrainReport(loss_curve, epoch_times, model.serialized())
 
 

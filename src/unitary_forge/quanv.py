@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .liegroup import random_params
 from .linalg import matexp  # noqa: F401
 from .models import FullUnitaryModel
 # The quanv_c32 benchmark times steps with a shim on quanv.adam_step.
-from .optim import TrainConfig, adam_init, adam_step, derive_seeds
+from .optim import TrainConfig, adam_step, derive_seeds, fit
 
 __all__ = [
     "PIXEL_RANGE",
@@ -228,6 +227,18 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[floa
     return loss, dlogits, accuracy
 
 
+def _n_classes(labels: np.ndarray) -> int:
+    """Class count of integer labels 0..max; raises ValueError naming each
+    class in that range without an image."""
+    counts = np.bincount(labels)
+    missing = np.flatnonzero(counts == 0).tolist()
+    if missing:
+        raise ValueError(f"labels 0..{counts.size - 1} have no image of class {missing}")
+    if counts.size < 2:
+        raise ValueError("need at least two classes")
+    return counts.size
+
+
 def train_quanv_demo(
     imgs: ImageBatch,
     labels: np.ndarray,
@@ -236,16 +247,14 @@ def train_quanv_demo(
 ) -> QuanvReport:
     """Jointly train the quanv circuits and a linear-softmax head.
 
-    Minibatch Adam over the flattened (circuits + head) parameter vector;
-    accuracy over the full dataset is logged after every epoch, plus once
-    before training starts.
+    Minibatch Adam (optim.fit) over the flat vector of circuits, then head
+    weights and bias; accuracy over the full dataset is logged after every
+    epoch, plus once before training starts.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (imgs.batch,):
         raise ValueError("labels must be one integer per image")
-    n_classes = int(labels.max()) + 1
-    if n_classes < 2:
-        raise ValueError("need at least two classes")
+    n_classes = _n_classes(labels)
     spec_seed, head_seed = derive_seeds(cfg.seed, 2)
     if spec is None:
         spec = random_quanv_spec(spec_seed)
@@ -257,57 +266,45 @@ def train_quanv_demo(
     bias = np.zeros(n_classes)
 
     flat = np.concatenate([np.concatenate(list(spec.circuits)), weights.ravel(), bias])
+    n_circuit_params = sum(t.size for t in spec.circuits)
 
     def unpack(vec):
-        thetas = []
-        off = 0
-        for t in spec.circuits:
-            thetas.append(vec[off : off + t.size])
-            off += t.size
-        w = vec[off : off + weights.size].reshape(weights.shape)
-        b = vec[off + weights.size :]
-        return thetas, w, b
+        """Views of vec: circuits as (n_circuits, d^2), head weights, bias."""
+        thetas, w, b = np.split(vec, [n_circuit_params, n_circuit_params + weights.size])
+        return thetas.reshape(spec.n_circuits, -1), w.reshape(weights.shape), b
 
-    def evaluate(vec, batch: ImageBatch, batch_labels, want_grad: bool):
+    def evaluate(vec, rows, want_grad: bool):
         thetas, w, b = unpack(vec)
         current = dataclasses.replace(spec, circuits=tuple(thetas))
-        out, cache = _forward_cached(batch, current)
-        feats = out.reshape(batch.batch, -1)
+        out, cache = _forward_cached(ImageBatch(imgs.pixels[rows]), current)
+        feats = out.reshape(out.shape[0], -1)
         logits = feats @ w + b
-        loss, dlogits, acc = _softmax_cross_entropy(logits, batch_labels)
+        loss, dlogits, acc = _softmax_cross_entropy(logits, labels[rows])
         if not want_grad:
-            return loss, acc, None
+            return acc
         d_w = feats.T @ dlogits
         d_b = dlogits.sum(axis=0)
         d_feats = dlogits @ w.T
         d_out = d_feats.reshape(out.shape)
         circuit_grads = _backward_circuits(current, cache, d_out)
         grad = np.concatenate([np.concatenate(circuit_grads), d_w.ravel(), d_b])
-        return loss, acc, grad
+        return loss, grad
 
-    _, initial_accuracy, _ = evaluate(flat, imgs, labels, want_grad=False)
-
-    state = adam_init(flat.size)
-    loss_curve: list[float] = []
+    all_rows = slice(None)
+    initial_accuracy = evaluate(flat, all_rows, want_grad=False)
     accuracy_curve: list[float] = []
-    epoch_times: list[float] = []
-    for _ in range(cfg.epochs):
-        tic = time.perf_counter()
-        losses = []
-        for start in range(0, imgs.batch, cfg.batch_size):
-            rows = slice(start, min(start + cfg.batch_size, imgs.batch))
-            batch = ImageBatch(imgs.pixels[rows])
-            loss, _, grad = evaluate(flat, batch, labels[rows], want_grad=True)
-            flat, state = adam_step(flat, grad, state, cfg)
-            losses.append(loss)
-        _, acc, _ = evaluate(flat, imgs, labels, want_grad=False)
-        epoch_times.append(time.perf_counter() - tic)
-        loss_curve.append(float(np.mean(losses)))
-        accuracy_curve.append(acc)
+    flat, loss_curve, epoch_times = fit(
+        flat,
+        lambda vec, rows: evaluate(vec, rows, want_grad=True),
+        imgs.batch,
+        cfg,
+        adam_step,
+        lambda vec: accuracy_curve.append(evaluate(vec, all_rows, want_grad=False)),
+    )
 
     thetas, w, b = unpack(flat)
     final_params = {
-        "circuits": [t.tolist() for t in thetas],
+        "circuits": thetas.tolist(),
         "head_weights": w.tolist(),
         "head_bias": b.tolist(),
     }

@@ -22,6 +22,7 @@ from unitary_forge.circuit import (
 )
 from unitary_forge.liegroup import random_params, to_unitary
 from unitary_forge.linalg import random_unitary
+from unitary_forge.models import AnsatzModel, PartitionedModel
 
 from oracles import (
     dense_circuit_matrix,
@@ -335,3 +336,25 @@ class TestNormPreservation:
         s = run_ansatz(s, random_layer(4, 10, seed=seed))
         norms = np.sum(np.abs(s.amplitudes) ** 2, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-8
+
+
+class TestModelForwardMatchesCircuitPath:
+    """Training runs the models' own forward loops; they must apply the same
+    operator as the circuit functions that are checked against dense oracles."""
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ansatz_model_matches_run_ansatz(self, n_qubits, seed):
+        model = AnsatzModel.random(n_qubits, 6 * n_qubits, seed)
+        assert any(op.kind == "CNOT" for op in model.circuit().ops)
+        s = random_state(n_qubits, 3, seed)
+        expected = run_ansatz(s, model.circuit()).amplitudes
+        assert np.allclose(model.apply(s).amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_qubits, group_size", [(2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (5, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partitioned_model_matches_apply_partitioned(self, n_qubits, group_size, seed):
+        model = PartitionedModel.random(n_qubits, group_size, 2, seed, scale=1.0)
+        s = random_state(n_qubits, 3, seed)
+        expected = apply_partitioned(s, model.as_partitioned_unitary()).amplitudes
+        assert np.allclose(model.apply(s).amplitudes, expected, rtol=0, atol=1e-12)

@@ -219,6 +219,19 @@ class TestExecuteQuanvDemo:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_labels_that_skip_a_class_exit_2(self, tmp_path, capsys):
+        from unitary_forge.quanv import images_to_csv, synthetic_two_class
+
+        imgs, labels = synthetic_two_class(4, seed=18, channels=4, height=4, width=4)
+        path = tmp_path / "images.csv"
+        images_to_csv(imgs, 2 * labels, path)  # classes 0 and 2
+        dataset = {"kind": "csv", "path": str(path), "channels": 4, "height": 4, "width": 4}
+        cfg = write_config(tmp_path, "quanv.json", dict(QUANV_CONFIG, dataset=dataset))
+        out = tmp_path / "out"
+        assert execute(RunManifest("quanv-demo", cfg, str(out))) == EXIT_USAGE
+        assert "no image of class [1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_dataset_trains(self, tmp_path):
         from unitary_forge.quanv import images_to_csv, synthetic_two_class
 

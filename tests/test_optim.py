@@ -11,6 +11,7 @@ from unitary_forge.optim import (
     adam_init,
     adam_step,
     build_model,
+    fit,
     identity_dataset,
     loss_and_grad,
     loss_curve_csv,
@@ -257,3 +258,36 @@ class TestTrainIdentity:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "epoch,loss,seconds"
         assert len(lines) == 3
+
+
+class TestFit:
+    def test_returns_epoch_losses_and_runs_after_epoch_per_epoch(self):
+        cfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.1)
+        seen_rows, after = [], []
+
+        def batch_loss_grad(params, rows):
+            seen_rows.append((rows.start, rows.stop))
+            return float(params @ params), 2.0 * params
+
+        params, losses, times = fit(np.ones(2), batch_loss_grad, 3, cfg, adam_step, after.append)
+        assert seen_rows == [(0, 2), (2, 4)] * 3
+        assert len(losses) == len(times) == len(after) == 3
+        assert np.array_equal(after[-1], params)
+        assert losses[0] > losses[-1]
+
+    def test_non_finite_batch_stops_before_the_update_naming_epoch_and_batch(self):
+        cfg = TrainConfig(epochs=3, batch_size=2)
+        calls, steps = [], []
+
+        def batch_loss_grad(params, rows):
+            calls.append(rows.start)
+            bad = len(calls) == 3  # epoch 2, batch 1
+            return 0.5, np.full(2, np.nan if bad else 1.0)
+
+        def counted_step(*args):
+            steps.append(1)
+            return adam_step(*args)
+
+        with pytest.raises(FloatingPointError, match="epoch 2, batch 1"):
+            fit(np.zeros(2), batch_loss_grad, 4, cfg, counted_step)
+        assert len(steps) == 2

@@ -73,3 +73,15 @@ def test_quanv_demo_steps_through_its_adam_step_binding(monkeypatch):
     report = quanv.train_quanv_demo(imgs, labels, cfg, spec)
     assert len(report.loss_curve) == cfg.epochs
     assert len(calls) == cfg.epochs  # one minibatch per epoch
+
+
+def test_train_identity_steps_through_the_traced_adam_step(tracer):
+    cfg = optim.TrainConfig(epochs=2, batch_size=2, seed=0)
+    optim.train_identity(cfg, 2, 4)
+    assert tracer.calls["optim.adam_step"] == 4  # 2 epochs x 2 minibatches
+
+
+def test_quanv_demo_records_one_adam_step_per_minibatch(tracer):
+    imgs, labels, spec, _ = tiny_quanv()
+    quanv.train_quanv_demo(imgs, labels, optim.TrainConfig(epochs=2, batch_size=3, seed=0), spec)
+    assert tracer.calls["optim.adam_step"] == 4  # 2 epochs x ceil(4 / 3) minibatches

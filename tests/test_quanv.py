@@ -216,6 +216,13 @@ class TestTrainQuanvDemo:
         fd = central_diff_grad(f, thetas0[probe], h=1e-5)
         assert np.allclose(grads[probe], fd, rtol=1e-4, atol=1e-8)
 
+    @pytest.mark.parametrize("labels, missing", [([0, 2, 0, 2], r"\[1\]"), ([3, 0, 3, 0], r"\[1, 2\]")])
+    def test_labels_that_skip_a_class_are_named(self, labels, missing):
+        imgs, _ = synthetic_two_class(4, seed=13, channels=4, height=4, width=4)
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=13)
+        with pytest.raises(ValueError, match=f"no image of class {missing}"):
+            train_quanv_demo(imgs, np.array(labels), cfg, spec=small_spec(seed=13))
+
     def test_label_shape_validation(self):
         imgs, labels = synthetic_two_class(4, seed=13, height=4, width=4)
         cfg = TrainConfig(epochs=1, batch_size=4, seed=13)
