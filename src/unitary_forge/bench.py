@@ -178,7 +178,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                         batch_size=batch,
                         seed=cfg.seed,
                         model_kind=kind,
-                        ansatz_gate_count=4 ** n,
                     )
                     try:
                         report = train_identity(tcfg, n, cfg.dataset_size, warmup=True)

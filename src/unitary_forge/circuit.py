@@ -73,26 +73,18 @@ def rz_matrix(theta: float) -> np.ndarray:
 
 _ROTATIONS = {"RX": rx_matrix, "RY": ry_matrix, "RZ": rz_matrix}
 
+# Pauli generator G of each rotation kind: the gate is exp(-i theta G / 2).
+ROTATION_PAULIS = {
+    "RX": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "RY": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "RZ": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
 
 def gate_matrix(op: "GateOp") -> np.ndarray:
     if op.kind == "CNOT":
         return CNOT_MATRIX
     return _ROTATIONS[op.kind](op.theta)
-
-
-def rotation_derivative(kind: str, theta: float) -> np.ndarray:
-    """d/dtheta of the rotation matrix, used for ansatz angle gradients."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if kind == "RX":
-        return 0.5 * np.array([[-s, -1j * c], [-1j * c, -s]], dtype=np.complex128)
-    if kind == "RY":
-        return 0.5 * np.array([[-s, -c], [c, -s]], dtype=np.complex128)
-    if kind == "RZ":
-        return np.array(
-            [[-0.5j * np.exp(-0.5j * theta), 0.0], [0.0, 0.5j * np.exp(0.5j * theta)]],
-            dtype=np.complex128,
-        )
-    raise ValueError(f"gate kind {kind!r} has no angle")
 
 
 @dataclass(frozen=True)

@@ -170,20 +170,18 @@ def _prepare_quanv_demo(config: dict):
         train["seed"] = seed
     cfg = TrainConfig.from_dict(train)
     kind = dataset.pop("kind", "synthetic")
+    # The images are loaded while the config is parsed, so a missing or
+    # malformed CSV or labels that skip a class exit 2 before the output
+    # directory is made.
     if kind == "synthetic":
         allowed = {"n_images", "seed", "channels", "height", "width", "noise"}
         unknown = set(dataset) - allowed
         if unknown:
             raise ValueError(f"unknown synthetic dataset fields: {sorted(unknown)}")
+        imgs, labels = synthetic_two_class(**{"n_images": 64, "seed": cfg.seed, **dataset})
     elif kind == "csv":
         if "path" not in dataset:
             raise ValueError("csv dataset requires a path")
-    else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
-
-    def load():
-        if kind == "synthetic":
-            return synthetic_two_class(**{"n_images": 64, "seed": cfg.seed, **dataset})
         imgs, labels = load_image_csv(
             dataset["path"],
             channels=dataset.get("channels", 16),
@@ -191,16 +189,10 @@ def _prepare_quanv_demo(config: dict):
             width=dataset.get("width", 8),
         )
         _n_classes(labels)  # the check train_quanv_demo runs
-        return imgs, labels
-
-    # The images are loaded while the config is parsed, so a malformed CSV or
-    # labels that skip a class exit 2 before the output directory is made. A
-    # CSV file that does not exist stays a runtime failure: the runner's own
-    # load raises.
-    data = None if kind == "csv" and not os.path.exists(dataset["path"]) else load()
+    else:
+        raise ValueError(f"unknown dataset kind {kind!r}")
 
     def run(out_dir: Path) -> None:
-        imgs, labels = data or load()
         spec = random_quanv_spec(cfg.seed, **spec_overrides) if spec_overrides else None
         report = train_quanv_demo(imgs, labels, cfg, spec=spec)
         (out_dir / "train_report.json").write_text(report.to_json())

@@ -29,16 +29,16 @@ import numpy as np
 
 from .circuit import (
     AnsatzCircuit,
+    CNOT_MATRIX,
     PartitionedUnitary,
     ROTATION_KINDS,
+    ROTATION_PAULIS,
     StateBatch,
     WirePartition,
     apply_group_raw,
     cyclic_partitions,
-    gate_matrix,
     group_cotangent,
     random_layer,
-    rotation_derivative,
 )
 from .liegroup import assemble, param_grad, random_params
 from .linalg import matexp, matexp_vjp
@@ -174,9 +174,13 @@ class PartitionedModel(_Model):
 class AnsatzModel(_Model):
     """Composed-gate circuit whose rotation angles are the parameters.
 
-    The reverse pass is adjoint-style: instead of caching one state per
-    gate (prohibitive at 2^(2N) gates) it reconstructs each gate's input
-    by applying the inverse gate while walking backwards.
+    Built once into (wires, angle index) steps, None for a CNOT, and a
+    stack of each rotation's Pauli G, so one vectorized cos/sin makes every
+    rotation exp(-i theta G / 2) = cos(theta/2) I - i sin(theta/2) G. The
+    reverse pass is adjoint-style (Jones & Gacon 2020): it caches no state
+    per gate but walks the stacked [psi; cot] back through each inverse
+    gate in one application. With M the gate's matrix cotangent at its
+    output, d/dtheta Re<cot, U psi_in> = 0.5 Im sum(conj(M) * G).
     """
 
     kind = "Ansatz"
@@ -185,6 +189,10 @@ class AnsatzModel(_Model):
         self.n_qubits = template.n_qubits
         self.template = template
         self.theta = template.angles()
+        rotations = [op for op in template.ops if op.kind in ROTATION_KINDS]
+        self._paulis = np.array([ROTATION_PAULIS[op.kind] for op in rotations]).reshape(-1, 2, 2)
+        index = iter(range(len(rotations)))
+        self._chain = [(op.wires, next(index) if op.kind in ROTATION_KINDS else None) for op in template.ops]
 
     @classmethod
     def random(cls, n_qubits: int, n_gates: int, seed: int, angle_scale: float = 1.0) -> "AnsatzModel":
@@ -194,37 +202,26 @@ class AnsatzModel(_Model):
             model.set_params(model.theta * angle_scale)
         return model
 
-    def _gate_u(self, op, angle_idx: int) -> np.ndarray:
-        if op.kind == "CNOT":
-            return gate_matrix(op)
-        return gate_matrix(type(op)(op.kind, op.wires, self.theta[angle_idx]))
-
     def forward(self, amps: np.ndarray):
+        half = 0.5 * self.theta[:, None, None]
+        rot = np.cos(half) * np.eye(2) - 1j * np.sin(half) * self._paulis
         out = amps
-        angle_idx = 0
-        for op in self.template.ops:
-            u = self._gate_u(op, angle_idx)
-            if op.kind in ROTATION_KINDS:
-                angle_idx += 1
-            out = apply_group_raw(out, self.n_qubits, op.wires, u)
-        return out, (out,)
+        for wires, r in self._chain:
+            out = apply_group_raw(out, self.n_qubits, wires, CNOT_MATRIX if r is None else rot[r])
+        return out, (out, rot)
 
     def backward(self, cache, cot: np.ndarray) -> np.ndarray:
-        (psi,) = cache
-        grad = np.zeros_like(self.theta)
-        angle_idx = self.theta.size
-        for op in reversed(self.template.ops):
-            u = self._gate_u(op, angle_idx - 1 if op.kind in ROTATION_KINDS else 0)
-            uh = u.conj().T
-            psi_in = apply_group_raw(psi, self.n_qubits, op.wires, uh)
-            if op.kind in ROTATION_KINDS:
-                angle_idx -= 1
-                ubar = group_cotangent(cot, psi_in, self.n_qubits, op.wires)
-                du = rotation_derivative(op.kind, float(self.theta[angle_idx]))
-                grad[angle_idx] = float(np.sum(ubar.conj() * du).real)
-            cot = apply_group_raw(cot, self.n_qubits, op.wires, uh)
-            psi = psi_in
-        return grad
+        psi, rot = cache
+        b = len(psi)
+        inverse = rot.conj().transpose(0, 2, 1)
+        walk = np.concatenate([psi, cot])
+        m = np.empty_like(rot)
+        for wires, r in reversed(self._chain):
+            if r is not None:
+                m[r] = group_cotangent(walk[b:], walk[:b], self.n_qubits, wires)
+            # CNOT is its own inverse.
+            walk = apply_group_raw(walk, self.n_qubits, wires, CNOT_MATRIX if r is None else inverse[r])
+        return 0.5 * np.sum(m.conj() * self._paulis, axis=(1, 2)).imag
 
     def circuit(self) -> AnsatzCircuit:
         return self.template.with_angles(self.theta)

@@ -56,7 +56,6 @@ class TrainConfig:
     # 0.0 pins the initial parameters at zero.
     partition_group_size: int = 1
     partition_layers: int = 1
-    ansatz_gate_count: int | None = None
     init_scale: float | None = None
 
     def __post_init__(self):
@@ -158,16 +157,15 @@ def loss_and_grad(model, features: np.ndarray, targets: np.ndarray) -> tuple[flo
 
 
 def build_model(cfg: TrainConfig, n_qubits: int, seed: int):
-    """Instantiate the model named by cfg for a given wire count."""
+    """Instantiate the model named by cfg; an Ansatz gets 4^N angles, as many as FullUnitary."""
     if cfg.model_kind == "FullUnitary":
         return FullUnitaryModel.random(n_qubits, seed, cfg.init_scale)
     if cfg.model_kind == "Partitioned":
         return PartitionedModel.random(
             n_qubits, cfg.partition_group_size, cfg.partition_layers, seed, cfg.init_scale
         )
-    gate_count = cfg.ansatz_gate_count or 4 ** n_qubits
     angle_scale = 1.0 if cfg.init_scale is None else cfg.init_scale
-    return AnsatzModel.random(n_qubits, gate_count, seed, angle_scale)
+    return AnsatzModel.random(n_qubits, 4 ** n_qubits, seed, angle_scale)
 
 
 def derive_seeds(seed: int, n: int) -> list[int]:

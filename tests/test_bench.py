@@ -108,7 +108,7 @@ class TestRunBench:
         from unitary_forge.optim import TrainConfig, build_model
 
         for kind in ("FullUnitary", "Ansatz"):
-            cfg = TrainConfig(model_kind=kind, ansatz_gate_count=4 ** 2)
+            cfg = TrainConfig(model_kind=kind)
             model = build_model(cfg, 2, seed=0)
             assert model.n_params == 16
 

@@ -6,7 +6,6 @@ import pytest
 
 from unitary_forge.cli import (
     EXIT_OK,
-    EXIT_RUNTIME,
     EXIT_USAGE,
     RunManifest,
     _prepare_quanv_demo,
@@ -191,10 +190,13 @@ class TestExecuteQuanvDemo:
         cfg = write_config(tmp_path, "quanv.json", bad)
         assert execute(RunManifest("quanv-demo", cfg, str(tmp_path / "o"))) == EXIT_USAGE
 
-    def test_missing_csv_path_is_runtime_error(self, tmp_path):
+    def test_missing_csv_path_exits_2_before_any_work(self, tmp_path, capsys):
         bad = dict(QUANV_CONFIG, dataset={"kind": "csv", "path": str(tmp_path / "missing.csv")})
         cfg = write_config(tmp_path, "quanv.json", bad)
-        assert execute(RunManifest("quanv-demo", cfg, str(tmp_path / "o"))) == EXIT_RUNTIME
+        out = tmp_path / "o"
+        assert execute(RunManifest("quanv-demo", cfg, str(out))) == EXIT_USAGE
+        assert "missing.csv" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bad_row, message",

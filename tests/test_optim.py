@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from unitary_forge.circuit import AnsatzCircuit, GateOp, rx_encode, z_expectations
+from unitary_forge import models
+from unitary_forge.circuit import AnsatzCircuit, GateOp, apply_group_raw, rx_encode, z_expectations
 from unitary_forge.models import AnsatzModel, FullUnitaryModel, PartitionedModel
 from unitary_forge.optim import (
     AdamState,
@@ -132,14 +133,34 @@ class TestLossAndGrad:
         fd = fd_model_grad(model, features, targets)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
-    def test_ansatz_with_cnots_matches_finite_differences(self):
-        model = AnsatzModel.random(3, 6, seed=6)
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5])
+    def test_ansatz_with_cnots_matches_finite_differences(self, n_qubits):
+        model = AnsatzModel.random(n_qubits, 12, seed=6)
+        assert {op.kind for op in model.template.ops} == {"RX", "RY", "RZ", "CNOT"}
         rng = np.random.default_rng(6)
-        features = rng.uniform(-1, 1, (3, 3))
-        targets = rng.uniform(-1, 1, (3, 3))
+        features = rng.uniform(-1, 1, (3, n_qubits))
+        targets = rng.uniform(-1, 1, (3, n_qubits))
         _, grad = loss_and_grad(model, features, targets)
         fd = fd_model_grad(model, features, targets)
         assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
+
+    def test_ansatz_applies_each_op_once_forward_and_once_backward(self, monkeypatch):
+        # The reverse pass walks the stacked [psi; cot], so each op is one
+        # application to 2B rows.
+        calls = []
+
+        def counting(amps, n_qubits, wires, u):
+            calls.append(len(amps))
+            return apply_group_raw(amps, n_qubits, wires, u)
+
+        monkeypatch.setattr(models, "apply_group_raw", counting)
+        model = AnsatzModel.random(4, 12, seed=6)
+        features = np.random.default_rng(6).uniform(-1, 1, (3, 4))
+        out, cache = model.forward(rx_encode(features).amplitudes)
+        assert calls == [3] * len(model.template.ops)
+        calls.clear()
+        model.backward(cache, out)
+        assert calls == [6] * len(model.template.ops)
 
     def test_partitioned_matches_finite_differences(self):
         model = PartitionedModel.random(3, group_size=1, n_layers=2, seed=7)
