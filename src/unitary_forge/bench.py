@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cli import thread_cap as active_thread_count
+from .cli import thread_cap
 from .models import MODEL_KINDS
 from .optim import TrainConfig, train_identity
 
@@ -35,7 +35,6 @@ __all__ = [
     "run_bench",
     "emit_report",
     "report_from_json",
-    "active_thread_count",
 ]
 
 
@@ -161,7 +160,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     UNITARY_FORGE_THREADS cap, or None when none is set; an invalid cap
     raises before the first cell runs.
     """
-    threads = active_thread_count()
+    threads = thread_cap()
     rows: list[BenchRow] = []
     failures: list[dict] = []
     gc_was_enabled = gc.isenabled()

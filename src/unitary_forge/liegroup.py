@@ -16,7 +16,6 @@ group: d^2 parameters for dimension d, hence 2^(2N) for N qubits.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 
@@ -30,8 +29,6 @@ __all__ = [
     "param_grad",
     "to_unitary",
     "random_params",
-    "params_to_json",
-    "params_from_json",
     "param_dim",
 ]
 
@@ -138,18 +135,3 @@ def random_params(d: int, seed: int, scale: float | None = None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal(d * d)
 
-
-def params_to_json(theta: np.ndarray) -> str:
-    """Serialize a parameter vector to a flat JSON array with a dim header."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return json.dumps({"dim": param_dim(theta), "theta": theta.tolist()})
-
-
-def params_from_json(text: str) -> np.ndarray:
-    payload = json.loads(text)
-    theta = np.asarray(payload["theta"], dtype=np.float64)
-    if theta.size != payload["dim"] ** 2:
-        raise ValueError(
-            f"theta length {theta.size} does not match dim {payload['dim']}"
-        )
-    return theta

@@ -9,8 +9,11 @@ scalar. Averaging keeps every value inside [-1, 1]. With the default
 
 Every circuit is a FullUnitaryModel, so the forward and reverse passes go
 through the same generator -> unitary -> adjoint chain as the identity
-task. The demo classifier puts a linear-softmax head on the flattened
-feature maps and trains head and circuits jointly.
+task. The forward splits into a parameter-free encoder (_encode: patch
+means -> RX product states) and a circuit pass over encoded rows
+(_run_circuits). The demo classifier puts a linear-softmax head on the
+flattened feature maps and trains head and circuits jointly; it encodes
+its images once and runs one circuit pass per parameter vector.
 """
 
 from __future__ import annotations
@@ -161,26 +164,36 @@ def _patch_angles(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
     return means.reshape(b, spec.n_blocks, hp, wp, k * k)
 
 
-def _forward_cached(imgs: ImageBatch, spec: QuanvSpec):
+def _encode(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
+    """Parameter-free half of the forward: (n_blocks, B, H', W', 2^N) RX-encoded
+    patch states. encoded[:, start:stop] holds images [start, stop), and each
+    block of it is a contiguous run of rows."""
     if imgs.channels != spec.in_channels:
         raise ValueError(f"image has {imgs.channels} channels, spec expects {spec.in_channels}")
-    angles = _patch_angles(imgs, spec)
-    b, n_blocks, hp, wp, _ = angles.shape
-    rows = b * hp * wp
-    encoded = []
-    for blk in range(n_blocks):
-        encoded.append(rx_encode_raw(angles[:, blk].reshape(rows, spec.n_qubits)))
+    angles = _patch_angles(imgs, spec).transpose(1, 0, 2, 3, 4)
+    return rx_encode_raw(angles.reshape(-1, spec.n_qubits)).reshape(*angles.shape[:-1], -1)
+
+
+def _run_circuits(encoded: np.ndarray, spec: QuanvSpec):
+    """Circuit half of the forward: feature maps of the encoded images and the
+    per-circuit cache _backward_circuits needs."""
+    n_blocks, b, hp, wp, dim = encoded.shape
+    rows = [encoded[blk].reshape(-1, dim) for blk in range(n_blocks)]
     out = np.zeros((b, spec.out_channels, hp, wp))
     circuit_cache = []
     for o in range(spec.out_channels):
         for blk in range(n_blocks):
             model = FullUnitaryModel(spec.n_qubits, spec.circuits[o * n_blocks + blk])
-            states, model_cache = model.forward(encoded[blk])
+            states, model_cache = model.forward(rows[blk])
             zmean = z_expectations_raw(states, spec.n_qubits).mean(axis=1)
             out[:, o] += zmean.reshape(b, hp, wp)
             circuit_cache.append((o, model, states, model_cache))
     out /= n_blocks
     return out, circuit_cache
+
+
+def _forward_cached(imgs: ImageBatch, spec: QuanvSpec):
+    return _run_circuits(_encode(imgs, spec), spec)
 
 
 def quanv_forward(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
@@ -249,7 +262,10 @@ def train_quanv_demo(
 
     Minibatch Adam (optim.fit) over the flat vector of circuits, then head
     weights and bias; accuracy over the full dataset is logged after every
-    epoch, plus once before training starts.
+    epoch, plus once before training starts. The images are encoded once
+    per call, and the circuits run one forward per parameter vector and
+    image range: when the batch is the whole set, each epoch's loss reuses
+    the forward of the accuracy pass before it.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (imgs.batch,):
@@ -259,8 +275,8 @@ def train_quanv_demo(
     if spec is None:
         spec = random_quanv_spec(spec_seed)
 
-    probe, _ = _forward_cached(ImageBatch(imgs.pixels[:1]), spec)
-    n_features = probe[0].size
+    encoded = _encode(imgs, spec)
+    n_features = spec.out_channels * encoded.shape[2] * encoded.shape[3]
     rng = np.random.default_rng(head_seed)
     weights = 0.01 * rng.standard_normal((n_features, n_classes))
     bias = np.zeros(n_classes)
@@ -273,10 +289,21 @@ def train_quanv_demo(
         thetas, w, b = np.split(vec, [n_circuit_params, n_circuit_params + weights.size])
         return thetas.reshape(spec.n_circuits, -1), w.reshape(weights.shape), b
 
+    last = {}  # the latest forward, keyed on its image range and parameter values
+
+    def forward(vec, rows):
+        images = rows.indices(imgs.batch)[:2]
+        if last.get("images") != images or not np.array_equal(last["vec"], vec):
+            last.clear()  # free the old states before the new ones are made
+            thetas, _, _ = unpack(vec)
+            current = dataclasses.replace(spec, circuits=tuple(thetas))
+            out, cache = _run_circuits(encoded[:, slice(*images)], current)
+            last.update(images=images, vec=vec.copy(), out=out, cache=cache)
+        return last["out"], last["cache"]
+
     def evaluate(vec, rows, want_grad: bool):
-        thetas, w, b = unpack(vec)
-        current = dataclasses.replace(spec, circuits=tuple(thetas))
-        out, cache = _forward_cached(ImageBatch(imgs.pixels[rows]), current)
+        _, w, b = unpack(vec)
+        out, cache = forward(vec, rows)
         feats = out.reshape(out.shape[0], -1)
         logits = feats @ w + b
         loss, dlogits, acc = _softmax_cross_entropy(logits, labels[rows])
@@ -286,7 +313,7 @@ def train_quanv_demo(
         d_b = dlogits.sum(axis=0)
         d_feats = dlogits @ w.T
         d_out = d_feats.reshape(out.shape)
-        circuit_grads = _backward_circuits(current, cache, d_out)
+        circuit_grads = _backward_circuits(spec, cache, d_out)
         grad = np.concatenate([np.concatenate(circuit_grads), d_w.ravel(), d_b])
         return loss, grad
 

@@ -1,7 +1,5 @@
 """Parameter-vector layout, its inverse, and the chain rule into it."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from unitary_forge.liegroup import (
     disassemble,
     param_dim,
     param_grad,
-    params_from_json,
-    params_to_json,
     random_params,
     to_unitary,
 )
@@ -137,16 +133,6 @@ class TestToUnitary:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        theta = random_params(4, seed=3)
-        text = params_to_json(theta)
-        assert json.loads(text)["dim"] == 4
-        assert np.array_equal(params_from_json(text), theta)
-
-    def test_rejects_inconsistent_header(self):
-        with pytest.raises(ValueError, match="does not match"):
-            params_from_json(json.dumps({"dim": 3, "theta": [0.0] * 4}))
-
     def test_param_dim(self):
         assert param_dim(np.zeros(49)) == 7
         with pytest.raises(ValueError):

@@ -85,3 +85,14 @@ def test_quanv_demo_records_one_adam_step_per_minibatch(tracer):
     imgs, labels, spec, _ = tiny_quanv()
     quanv.train_quanv_demo(imgs, labels, optim.TrainConfig(epochs=2, batch_size=3, seed=0), spec)
     assert tracer.calls["optim.adam_step"] == 4  # 2 epochs x ceil(4 / 3) minibatches
+
+
+@pytest.mark.parametrize("batch, passes", [
+    (4, 3),  # initial accuracy + one per epoch; each loss reuses the accuracy pass before it
+    (3, 7),  # initial accuracy + per epoch two minibatches and one accuracy pass
+])
+def test_quanv_demo_encodes_once_and_runs_one_forward_per_parameter_vector(tracer, batch, passes):
+    imgs, labels, spec, _ = tiny_quanv()
+    quanv.train_quanv_demo(imgs, labels, optim.TrainConfig(epochs=2, batch_size=batch, seed=0), spec)
+    assert tracer.calls["circuit.encode"] == 1
+    assert tracer.calls["models.forward"] == passes * spec.n_circuits

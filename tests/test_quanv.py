@@ -1,12 +1,17 @@
 """Patch extraction, quanvolutional forward pass, and the demo classifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from unitary_forge.optim import TrainConfig
+from unitary_forge.optim import TrainConfig, adam_init, adam_step, derive_seeds
 from unitary_forge.quanv import (
     ImageBatch,
     QuanvSpec,
+    _backward_circuits,
+    _forward_cached,
+    _softmax_cross_entropy,
     extract_patches,
     images_to_csv,
     load_image_csv,
@@ -29,6 +34,50 @@ def small_spec(seed=0, **overrides):
 def random_images(batch, channels, height, width, seed):
     rng = np.random.default_rng(seed)
     return ImageBatch(rng.uniform(-np.pi / 2, np.pi / 2, (batch, channels, height, width)))
+
+
+def reference_train(imgs, labels, cfg, spec):
+    """train_quanv_demo as a plain loop: a fresh _forward_cached for every
+    loss, gradient and accuracy, and one adam_step per minibatch.
+
+    Returns the initial accuracy, the loss and accuracy curves and the
+    final parameters in the report's layout."""
+    _, head_seed = derive_seeds(cfg.seed, 2)
+    n_classes = int(labels.max()) + 1
+    probe, _ = _forward_cached(ImageBatch(imgs.pixels[:1]), spec)
+    weights = 0.01 * np.random.default_rng(head_seed).standard_normal((probe[0].size, n_classes))
+    n_circuit = spec.n_circuits * spec.circuits[0].size
+    vec = np.concatenate([np.concatenate(list(spec.circuits)), weights.ravel(), np.zeros(n_classes)])
+
+    def evaluate(vec, rows):
+        w = vec[n_circuit:n_circuit + weights.size].reshape(weights.shape)
+        b = vec[n_circuit + weights.size:]
+        current = dataclasses.replace(spec, circuits=tuple(vec[:n_circuit].reshape(spec.n_circuits, -1)))
+        out, cache = _forward_cached(ImageBatch(imgs.pixels[rows]), current)
+        feats = out.reshape(out.shape[0], -1)
+        loss, dlogits, acc = _softmax_cross_entropy(feats @ w + b, labels[rows])
+        d_out = (dlogits @ w.T).reshape(out.shape)
+        circuit_grads = _backward_circuits(current, cache, d_out)
+        grad = np.concatenate([np.concatenate(circuit_grads), (feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+        return loss, grad, acc
+
+    initial = evaluate(vec, slice(None))[2]
+    state = adam_init(vec.size)
+    losses, accuracies = [], []
+    for _ in range(cfg.epochs):
+        batch_losses = []
+        for start in range(0, imgs.batch, cfg.batch_size):
+            loss, grad, _ = evaluate(vec, slice(start, start + cfg.batch_size))
+            vec, state = adam_step(vec, grad, state, cfg)
+            batch_losses.append(loss)
+        losses.append(float(np.mean(batch_losses)))
+        accuracies.append(evaluate(vec, slice(None))[2])
+    final_params = {
+        "circuits": vec[:n_circuit].reshape(spec.n_circuits, -1).tolist(),
+        "head_weights": vec[n_circuit:n_circuit + weights.size].reshape(weights.shape).tolist(),
+        "head_bias": vec[n_circuit + weights.size:].tolist(),
+    }
+    return initial, losses, accuracies, final_params
 
 
 class TestImageBatch:
@@ -185,10 +234,6 @@ class TestTrainQuanvDemo:
         spec = small_spec(seed=12)
         cfg = TrainConfig(epochs=1, batch_size=6, seed=12)
 
-        import dataclasses
-
-        from unitary_forge.quanv import _backward_circuits, _forward_cached, _softmax_cross_entropy
-
         rng = np.random.default_rng(12)
         w = 0.05 * rng.standard_normal((spec.out_channels, labels.max() + 1))
 
@@ -215,6 +260,33 @@ class TestTrainQuanvDemo:
 
         fd = central_diff_grad(f, thetas0[probe], h=1e-5)
         assert np.allclose(grads[probe], fd, rtol=1e-4, atol=1e-8)
+
+    @pytest.mark.parametrize("batch", [4, 3])
+    def test_matches_a_fresh_forward_for_every_evaluation(self, batch):
+        # The demo encodes once and reuses a forward across evaluations at
+        # equal parameters; a loop that recomputes everything must agree bitwise.
+        imgs, labels = synthetic_two_class(4, seed=14, channels=4, height=3, width=3)
+        spec = small_spec(seed=14)
+        cfg = TrainConfig(epochs=3, batch_size=batch, seed=14, learning_rate=0.05)
+        report = train_quanv_demo(imgs, labels, cfg, spec=spec)
+        initial, losses, accuracies, final_params = reference_train(imgs, labels, cfg, spec)
+        assert report.initial_accuracy == initial
+        assert report.loss_curve == losses
+        assert report.accuracy_curve == accuracies
+        assert report.final_params == final_params
+
+    @pytest.mark.parametrize("batch", [8, 3])
+    def test_inference_on_the_final_params_gives_the_last_accuracy(self, batch):
+        # what perfbench's check_quanv asserts after every benchmark call
+        imgs, labels = synthetic_two_class(8, seed=15, channels=4, height=4, width=4)
+        cfg = TrainConfig(epochs=4, batch_size=batch, seed=15, learning_rate=0.05)
+        spec = small_spec(seed=15)
+        report = train_quanv_demo(imgs, labels, cfg, spec=spec)
+        params = report.final_params
+        spec = dataclasses.replace(spec, circuits=tuple(np.asarray(c) for c in params["circuits"]))
+        maps = quanv_forward(imgs, spec)
+        logits = maps.reshape(imgs.batch, -1) @ np.asarray(params["head_weights"]) + params["head_bias"]
+        assert float(np.mean(np.argmax(logits, axis=1) == labels)) == report.accuracy_curve[-1]
 
     @pytest.mark.parametrize("labels, missing", [([0, 2, 0, 2], r"\[1\]"), ([3, 0, 3, 0], r"\[1, 2\]")])
     def test_labels_that_skip_a_class_are_named(self, labels, missing):
