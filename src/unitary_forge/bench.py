@@ -19,6 +19,7 @@ import csv
 import gc
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -158,7 +159,8 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     collection is paused for the sweep: a collection pause is larger than
     an entire epoch at small qubit counts. meta.threads is the
     UNITARY_FORGE_THREADS cap, or None when none is set; an invalid cap
-    raises before the first cell runs.
+    raises before the first cell runs. meta also carries the environment
+    fingerprint of _environment().
     """
     threads = thread_cap()
     rows: list[BenchRow] = []
@@ -201,8 +203,25 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         "dataset_size": cfg.dataset_size,
         "seed": cfg.seed,
         "threads": threads,
+        **_environment(),
     }
     return BenchReport(rows, meta, failures)
+
+
+def _environment() -> dict:
+    """numpy version, BLAS name and version as numpy's build reports them
+    (None where it names none), and the machine's CPU count."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its build configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy_version": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _sci(value: float) -> str:

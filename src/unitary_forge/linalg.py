@@ -1,13 +1,16 @@
 """Dense complex linear algebra: the matrix exponential and its adjoint.
 
-All matrices are square complex128 ndarrays. The matrix exponential uses
-scaling-and-squaring with diagonal Pade approximants (orders 3/5/7/9/13
-selected by the 1-norm), which is accurate on the whole norm range that
-randomly initialized generator matrices produce. Its vector-Jacobian
-product has two branches. A generator that is exactly skew-Hermitian,
-A = iH as every generator the package builds is, takes the spectral
-(Daleckii-Krein) form in the eigenbasis of H; any other matrix takes the
-exponential of the doubled block matrix [[A^H, G], [0, A^H]].
+All matrices are square complex128 ndarrays. The matrix exponential has
+two routes. A plain call uses scaling-and-squaring with diagonal Pade
+approximants (orders 3/5/7/9/13 selected by the 1-norm), which is
+accurate on the whole norm range and for any square matrix. A call with
+basis=True takes an exactly skew-Hermitian A = iH, as every generator the
+package builds is, through one eigendecomposition H = V diag(w) V^H and
+returns V e^{iw} V^H together with (w, V). The vector-Jacobian product of
+a skew-Hermitian A is the spectral (Daleckii-Krein) form in that basis,
+reused when the forward hands it over and computed otherwise; any other
+matrix takes the exponential of the doubled block matrix
+[[A^H, G], [0, A^H]]. Training therefore costs one eigh per generator.
 
 Cotangents use the real inner product <X, Y> = Re tr(X^H Y); every
 gradient in the package is stated in that convention.
@@ -117,15 +120,25 @@ def _pade_uv(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def matexp(a: np.ndarray) -> np.ndarray:
+def matexp(a: np.ndarray, *, basis: bool = False):
     """Matrix exponential exp(a) of a square complex matrix.
 
     Raises ValueError if a is not square or contains non-finite entries.
     For skew-Hermitian a the result is unitary to working precision.
+
+    With basis=True, a must also equal -a^H bitwise (ValueError otherwise).
+    One eigh of H = -1j a gives w, V, and the return value is the pair
+    (V e^{iw} V^H, (w, V)); pass the basis to matexp_vjp to skip its own
+    decomposition. Without it the exponential is the Pade route.
     """
     a = _as_square_complex(a)
     if not np.isfinite(a).all():
         raise ValueError("matexp requires finite entries")
+    if basis:
+        if not np.array_equal(a, -a.conj().T):
+            raise ValueError("matexp with basis=True requires a == -a^H exactly")
+        w, v = np.linalg.eigh(-1j * a)
+        return (v * np.exp(1j * w)) @ v.conj().T, (w, v)
     norm = float(np.abs(a).sum(axis=0).max())
     squarings = 0
     order = 13
@@ -144,7 +157,7 @@ def matexp(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def matexp_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+def matexp_vjp(a: np.ndarray, g: np.ndarray, basis: tuple | None = None) -> np.ndarray:
     """Adjoint of the differential of matexp at a, applied to cotangent g.
 
     Returns abar such that Re<g, d/dt exp(a + t e)|_0> = Re<abar, e> for
@@ -154,11 +167,13 @@ def matexp_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     When a equals -a^H bitwise it is i H with H Hermitian, and the adjoint
     is V (conj(F) * (V^H g V)) V^H from H = V diag(w) V^H, with
     F_jk = exp(i (w_j + w_k) / 2) sinc((w_j - w_k) / 2); the sinc form stays
-    accurate on repeated eigenvalues. That costs one d x d eigh and four
-    products. Every other a takes the upper-right block of
-    exp([[a^H, g], [0, a^H]]), a 2d x 2d exponential and roughly 8x the
-    cost of the forward one. Raises ValueError on non-square, mismatched
-    or non-finite input.
+    accurate on repeated eigenvalues. `basis` is the (w, V) that
+    matexp(a, basis=True) returned; given it, the adjoint costs four
+    products, and without it one d x d eigh more. Every other a takes the
+    upper-right block of exp([[a^H, g], [0, a^H]]), a 2d x 2d exponential
+    and roughly 8x the cost of the forward one. Raises ValueError on
+    non-square, mismatched or non-finite input, and when a basis comes
+    with an a that is not bitwise skew-Hermitian.
     """
     a = _as_square_complex(a, "a")
     g = _as_square_complex(g, "g")
@@ -167,7 +182,9 @@ def matexp_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     if not (np.isfinite(a).all() and np.isfinite(g).all()):
         raise ValueError("matexp_vjp requires finite entries in a and g")
     if np.array_equal(a, -a.conj().T):
-        return _skew_expm_vjp(a, g)
+        return _spectral_vjp(basis or np.linalg.eigh(-1j * a), g)
+    if basis is not None:
+        raise ValueError("matexp_vjp with a basis requires a == -a^H exactly")
     d = a.shape[0]
     ah = a.conj().T
     block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
@@ -177,9 +194,9 @@ def matexp_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return matexp(block)[:d, d:]
 
 
-def _skew_expm_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Daleckii-Krein adjoint of exp at a skew-Hermitian a = i H."""
-    w, v = np.linalg.eigh(-1j * a)
+def _spectral_vjp(basis: tuple[np.ndarray, np.ndarray], g: np.ndarray) -> np.ndarray:
+    """Daleckii-Krein adjoint of exp at a = i V diag(w) V^H, from basis = (w, V)."""
+    w, v = basis
     half = np.exp(-0.5j * w)
     # conj(F); np.sinc(x) is sin(pi x) / (pi x), so this is sin(dw / 2) / (dw / 2).
     f_conj = np.outer(half, half) * np.sinc(np.subtract.outer(w, w) / (2.0 * np.pi))

@@ -8,7 +8,11 @@ vector and the rest of the protocol (`n_params`, `get_params`,
 `set_params`, `apply`, `serialized`); a model adds only its own
 constructors, `forward`, `backward` and serialization payload. This is the
 only module that runs the generator -> unitary -> adjoint chain: the
-quanv layer runs each of its circuits as a FullUnitaryModel.
+quanv layer runs each of its circuits as a FullUnitaryModel. `forward`
+exponentiates each generator through one eigh (matexp(x, basis=True))
+and caches the eigenbasis, which `backward` hands to matexp_vjp, so a
+training step decomposes each generator once; `apply` is `forward`, so
+inference and training agree bit for bit.
 
 Three families cover the expressivity spectrum:
 
@@ -92,14 +96,14 @@ class FullUnitaryModel(_Model):
 
     def forward(self, amps: np.ndarray):
         x = assemble(self.theta)
-        u = matexp(x)
+        u, basis = matexp(x, basis=True)
         out = amps @ u.T
-        return out, (amps, x)
+        return out, (amps, x, basis)
 
     def backward(self, cache, cot: np.ndarray) -> np.ndarray:
-        in_amps, x = cache
+        in_amps, x, basis = cache
         ubar = cot.T @ in_amps.conj()
-        return param_grad(matexp_vjp(x, ubar))
+        return param_grad(matexp_vjp(x, ubar, basis))
 
     def _payload(self) -> dict:
         return {"dim": self.dim, "theta": self.theta.tolist()}
@@ -149,16 +153,16 @@ class PartitionedModel(_Model):
         out = amps
         for group, sl in self._slices:
             x = assemble(self.theta[sl])
-            u = matexp(x)
-            apps.append((group, sl, x, u, out))
+            u, basis = matexp(x, basis=True)
+            apps.append((group, sl, x, basis, u, out))
             out = apply_group_raw(out, self.n_qubits, group, u)
         return out, apps
 
     def backward(self, cache, cot: np.ndarray) -> np.ndarray:
         grad = np.zeros_like(self.theta)
-        for group, sl, x, u, in_amps in reversed(cache):
+        for group, sl, x, basis, u, in_amps in reversed(cache):
             ubar = group_cotangent(cot, in_amps, self.n_qubits, group)
-            grad[sl] = param_grad(matexp_vjp(x, ubar))
+            grad[sl] = param_grad(matexp_vjp(x, ubar, basis))
             cot = apply_group_raw(cot, self.n_qubits, group, u.conj().T)
         return grad
 

@@ -174,9 +174,10 @@ def _encode(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
     return rx_encode_raw(angles.reshape(-1, spec.n_qubits)).reshape(*angles.shape[:-1], -1)
 
 
-def _run_circuits(encoded: np.ndarray, spec: QuanvSpec):
-    """Circuit half of the forward: feature maps of the encoded images and the
-    per-circuit cache _backward_circuits needs."""
+def _run_circuits(encoded: np.ndarray, spec: QuanvSpec, keep: bool = True):
+    """Circuit half of the forward: feature maps of the encoded images and,
+    with keep, the per-circuit cache _backward_circuits needs. Without it the
+    cache is empty and each circuit's states are freed once decoded."""
     n_blocks, b, hp, wp, dim = encoded.shape
     rows = [encoded[blk].reshape(-1, dim) for blk in range(n_blocks)]
     out = np.zeros((b, spec.out_channels, hp, wp))
@@ -187,7 +188,8 @@ def _run_circuits(encoded: np.ndarray, spec: QuanvSpec):
             states, model_cache = model.forward(rows[blk])
             zmean = z_expectations_raw(states, spec.n_qubits).mean(axis=1)
             out[:, o] += zmean.reshape(b, hp, wp)
-            circuit_cache.append((o, model, states, model_cache))
+            if keep:
+                circuit_cache.append((o, model, states, model_cache))
     out /= n_blocks
     return out, circuit_cache
 
@@ -197,8 +199,9 @@ def _forward_cached(imgs: ImageBatch, spec: QuanvSpec):
 
 
 def quanv_forward(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
-    """Feature maps (B, out_channels, H', W'), each value in [-1, 1]."""
-    out, _ = _forward_cached(imgs, spec)
+    """Feature maps (B, out_channels, H', W'), each value in [-1, 1]. Keeps no
+    per-circuit states, since inference runs no backward pass."""
+    out, _ = _run_circuits(_encode(imgs, spec), spec, keep=False)
     return out
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import io
+import json
+import os
 
 import numpy as np
 import pytest
@@ -92,6 +94,17 @@ class TestRunBench:
         assert report.meta["epochs"] == 3
         monkeypatch.setenv("UNITARY_FORGE_THREADS", "3")
         assert run_bench(tiny_config(qubit_range=(1,))).meta["threads"] == 3
+
+    def test_meta_carries_the_environment_fingerprint(self, monkeypatch):
+        monkeypatch.setenv("UNITARY_FORGE_THREADS", "2")
+        report = run_bench(tiny_config(qubit_range=(1,)))
+        meta = report.meta
+        assert meta["numpy_version"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (meta["blas"], meta["blas_version"]) == (blas["name"], blas["version"])
+        assert meta["cpu_count"] == os.cpu_count()
+        assert meta["threads"] == 2
+        assert json.loads(emit_report(report, "json"))["meta"] == meta
 
     def test_bad_thread_cap_raises_before_the_first_cell(self, monkeypatch):
         import unitary_forge.bench as bench

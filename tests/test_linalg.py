@@ -6,6 +6,7 @@ import pytest
 from unitary_forge.circuit import rx_ry_generator_params
 from unitary_forge.liegroup import assemble
 from unitary_forge.linalg import (
+    UNITARITY_TOL,
     matexp,
     matexp_vjp,
     random_unitary,
@@ -265,6 +266,77 @@ class TestMatexpVjpNonFinite:
         a[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             matexp_vjp(a, np.eye(3))
+
+
+class TestSharedBasis:
+    """matexp(a, basis=True) builds U from one eigh and hands its basis to the adjoint."""
+
+    @pytest.mark.parametrize("d", [2, 16, 64, 256])
+    def test_agrees_with_pade(self, d):
+        a = random_skew_hermitian(d, np.random.default_rng(300 + d), scale=1.0 / np.sqrt(d))
+        u, (w, v) = matexp(a, basis=True)
+        assert w.shape == (d,) and v.shape == (d, d)
+        assert np.abs(u - matexp(a)).max() <= 1e-13
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 20.0])
+    def test_matches_series(self, scale):
+        a = random_skew_hermitian(8, np.random.default_rng(310), scale=scale)
+        u, _ = matexp(a, basis=True)
+        assert rel_err(u, taylor_expm(a)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    def test_vjp_with_basis_is_bitwise_the_vjp_without(self, d):
+        rng = np.random.default_rng(320 + d)
+        a = random_skew_hermitian(d, rng)
+        g = random_cotangent(d, rng)
+        _, basis = matexp(a, basis=True)
+        assert np.array_equal(matexp_vjp(a, g, basis), matexp_vjp(a, g))
+
+    def test_near_degenerate_spectrum(self):
+        w = [0.5, 0.5 + 1e-9, 0.5 + 2e-9, -1.0, -1.0 + 1e-9, 2.0]
+        a = exactly_skew(skew_with_spectrum(w, seed=7))
+        g = random_cotangent(6, np.random.default_rng(7))
+        u, basis = matexp(a, basis=True)
+        assert rel_err(u, taylor_expm(a)) <= 1e-13
+        assert rel_err(matexp_vjp(a, g, basis), taylor_vjp(a, g)) <= 1e-13
+
+    def test_skew_only_to_rounding_raises(self):
+        a = skew_with_spectrum([0.3, -1.2, 0.7], seed=8)
+        assert not np.array_equal(a, -a.conj().T)
+        with pytest.raises(ValueError, match="a == -a\\^H"):
+            matexp(a, basis=True)
+        _, basis = matexp(exactly_skew(a), basis=True)
+        with pytest.raises(ValueError, match="a == -a\\^H"):
+            matexp_vjp(a, np.eye(3), basis)
+
+    def test_general_matrix_raises(self):
+        a = np.arange(9.0).reshape(3, 3)
+        with pytest.raises(ValueError, match="a == -a\\^H"):
+            matexp(a, basis=True)
+
+    def test_non_finite_raises(self):
+        a = random_skew_hermitian(3, np.random.default_rng(9))
+        _, basis = matexp(a, basis=True)
+        g = np.eye(3, dtype=complex)
+        g[0, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            matexp_vjp(a, g, basis)
+        a[1, 1] = complex(0.0, np.inf)  # still a == -a^H bitwise
+        assert np.array_equal(a, -a.conj().T)
+        with pytest.raises(ValueError, match="finite"):
+            matexp(a, basis=True)
+        with pytest.raises(ValueError, match="finite"):
+            matexp_vjp(a, np.eye(3), basis)
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            matexp(np.zeros((2, 3)), basis=True)
+
+    @pytest.mark.parametrize("d", [512, 1024])
+    def test_unitary_at_large_dimension(self, d):
+        a = assemble(np.random.default_rng(d).standard_normal(d * d) / d)
+        u, _ = matexp(a, basis=True)
+        assert unitarity_error(u) <= UNITARITY_TOL
 
 
 class TestUnitarityError:

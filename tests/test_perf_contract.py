@@ -9,6 +9,7 @@ correctly, so only these checks catch it before a full benchmark run.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -17,8 +18,8 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 
 import unitary_forge  # noqa: E402
-from unitary_forge import circuit, optim, quanv  # noqa: E402
-from unitary_forge.models import FullUnitaryModel  # noqa: E402
+from unitary_forge import circuit, linalg, optim, quanv  # noqa: E402
+from unitary_forge.models import FullUnitaryModel, PartitionedModel  # noqa: E402
 
 
 @pytest.fixture
@@ -96,3 +97,31 @@ def test_quanv_demo_encodes_once_and_runs_one_forward_per_parameter_vector(trace
     quanv.train_quanv_demo(imgs, labels, optim.TrainConfig(epochs=2, batch_size=batch, seed=0), spec)
     assert tracer.calls["circuit.encode"] == 1
     assert tracer.calls["models.forward"] == passes * spec.n_circuits
+
+
+@pytest.mark.parametrize("build, generators", [
+    (lambda: FullUnitaryModel.random(3, seed=0), 1),
+    (lambda: PartitionedModel.random(4, 2, 3, seed=0), 6),  # 3 layers of 2 groups
+    (lambda: PartitionedModel.random(3, 1, 2, seed=0), 6),  # 2 layers of 3 groups
+], ids=["full", "partitioned-pairs", "partitioned-single-wires"])
+def test_training_step_runs_one_eigh_per_generator_and_no_pade(monkeypatch, build, generators):
+    model = build()
+    calls = {"eigh": 0, "pade": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(linalg, "_pade_uv", counted("pade", linalg._pade_uv))
+    x, y = optim.identity_dataset(model.n_qubits, 4, seed=0)
+    _, grad = optim.loss_and_grad(model, x, y)
+    assert calls == {"eigh": generators, "pade": 0}
+    assert np.isfinite(grad).all()
+
+    # Inference is the training forward, bit for bit.
+    states = circuit.rx_encode(x)
+    out, _ = model.forward(states.amplitudes)
+    assert np.array_equal(model.apply(states).amplitudes, out)

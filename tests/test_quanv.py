@@ -1,6 +1,7 @@
 """Patch extraction, quanvolutional forward pass, and the demo classifier."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ class TestQuanvForward:
         spec = small_spec(seed=8)
         with pytest.raises(ValueError, match="channels"):
             quanv_forward(random_images(1, 6, 3, 3, seed=8), spec)
+
+    def test_inference_keeps_no_circuit_states(self):
+        # 256 default images: 32 circuits x 12,544 patch rows of 16 amplitudes
+        # would hold ~103 MB of states for a 0.8 MB output.
+        imgs, _ = synthetic_two_class(256, seed=9)
+        spec = random_quanv_spec(9)
+        tracemalloc.start()
+        try:
+            out = quanv_forward(imgs, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+        assert np.array_equal(out, _forward_cached(imgs, spec)[0])
 
 
 class TestTrainQuanvDemo:
