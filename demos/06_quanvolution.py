@@ -3,7 +3,10 @@
 Thirty-two four-qubit circuits slide over 2x2 patches of a 16-channel
 image: each patch is averaged per channel block, encoded as RX angles,
 evolved by the circuit's unitary, and decoded to a Z-expectation mean.
-A linear-softmax head on the resulting 8-channel feature maps classifies
+That value is a trigonometric polynomial of degree 1 in each angle, so
+each circuit runs only on the 81 states of a fixed probe grid and every
+patch value is an exact interpolation of those 81 values. A
+linear-softmax head on the resulting 8-channel feature maps classifies
 bright-top vs bright-bottom synthetic images; circuits and head train
 jointly through the exponential adjoint.
 """

@@ -9,17 +9,37 @@ scalar. Averaging keeps every value inside [-1, 1]. With the default
 
 Every circuit is a FullUnitaryModel, so the forward and reverse passes go
 through the same generator -> unitary -> adjoint chain as the identity
-task. The forward splits into a parameter-free encoder (_encode: patch
-means -> RX product states) and a circuit pass over encoded rows
-(_run_circuits). The demo classifier puts a linear-softmax head on the
-flattened feature maps and trains head and circuits jointly; it encodes
-its images once and runs one circuit pass per parameter vector.
+task, but no circuit runs on a patch state. RX(x)|0> has Bloch vector
+(0, -sin x, cos x), so a circuit's value on a patch, Tr(U^H S U rho(x))/4
+with S the sum of the Z_i, lies in span{1, cos x_i, sin x_i} on each wire:
+a trigonometric polynomial of degree 1 in every angle (Schuld, Sweke &
+Meyer 2021). Three equally spaced probe angles p_a in {0, 2pi/3, -2pi/3}
+fix such a function through l_a(x) = (1 + 2 cos(x - p_a)) / 3, which is 1
+at p_a and 0 at the other two, so over the 3^N probe grid
+
+    g(x) = sum_j prod_i l_{j_i}(x_i) g(p_j)
+
+holds exactly. Each circuit therefore runs on the 3^N = 81 probe states
+whatever the image count, and a block's feature values are one real
+(patches, 81) @ (81, out_channels) product. The reverse pass is its
+transpose: weights^T @ dL/d(maps) is the cotangent of the probe values,
+which goes back through the decode and the circuit. The grid grows as
+3^N against the 2^N amplitudes of a patch state: at kernel 3 (9 qubits)
+each circuit runs on 19,683 probe states of 512 amplitudes (161 MB), and
+each patch carries 19,683 weights.
+
+The forward splits into a parameter-free encoder (_encode: patch means ->
+interpolation weights, plus the probe states) and a circuit pass over the
+probe states (_run_circuits). The demo classifier puts a linear-softmax
+head on the flattened feature maps and trains head and circuits jointly;
+it encodes its images once and runs one circuit pass per parameter vector.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,7 +48,8 @@ import numpy as np
 from .circuit import rx_encode_raw, z_expectations_raw, z_expectations_vjp
 from .liegroup import random_params
 # Unused here (circuits exponentiate in FullUnitaryModel), but kept bound:
-# perfbench/test_perfbench.py asserts that tracing wraps quanv.matexp.
+# perfbench/test_perfbench.py lists (quanv, "matexp") among the import
+# sites that tracing must wrap, so this import stays until that test changes.
 from .linalg import matexp  # noqa: F401
 from .models import FullUnitaryModel
 # The quanv_c32 benchmark times steps with a shim on quanv.adam_step.
@@ -50,6 +71,10 @@ __all__ = [
 ]
 
 PIXEL_RANGE = (-np.pi / 2.0, np.pi / 2.0)
+
+# Per-wire probe angles: three equally spaced points fix any
+# a + b cos(x) + c sin(x) (see the module docstring).
+_PROBES = np.array([0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0])
 
 
 @dataclass(frozen=True)
@@ -156,63 +181,100 @@ def extract_patches(imgs: ImageBatch, kernel: int, stride: int) -> np.ndarray:
 
 
 def _patch_angles(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
-    """(B, n_blocks, H', W', k^2) per-block mean patches, flattened row-major."""
-    patches = extract_patches(imgs, spec.kernel, spec.stride)
-    b, _, hp, wp, k, _ = patches.shape
-    blocked = patches.reshape(b, spec.n_blocks, spec.channel_block, hp, wp, k, k)
-    means = blocked.mean(axis=2)
-    return means.reshape(b, spec.n_blocks, hp, wp, k * k)
-
-
-def _encode(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
-    """Parameter-free half of the forward: (n_blocks, B, H', W', 2^N) RX-encoded
-    patch states. encoded[:, start:stop] holds images [start, stop), and each
-    block of it is a contiguous run of rows."""
+    """(B, n_blocks, H', W', k^2) patches of the per-block channel means,
+    flattened row-major."""
     if imgs.channels != spec.in_channels:
         raise ValueError(f"image has {imgs.channels} channels, spec expects {spec.in_channels}")
+    px = imgs.pixels
+    means = px.reshape(imgs.batch, spec.n_blocks, spec.channel_block, *px.shape[2:]).mean(axis=2)
+    patches = extract_patches(ImageBatch(means), spec.kernel, spec.stride)
+    return patches.reshape(*patches.shape[:4], -1)
+
+
+def _interpolation_weights(angles: np.ndarray) -> np.ndarray:
+    """(..., N) angles -> (3^N, ...) weights: row j is prod_i l_{j_i}(x_i)
+    with l_a(x) = (1 + 2 cos(x - p_a)) / 3, wire 0 slowest. The patch axes
+    stay innermost, so every product runs over long contiguous rows."""
+    wires = np.ascontiguousarray(np.moveaxis(angles, -1, 0))[:, None]
+    # l_a(x) = 1/3 + (2/3) cos(p_a) cos(x) + (2/3) sin(p_a) sin(x): cos and
+    # sin run once per angle, not once per angle and probe.
+    probes = _PROBES.reshape(-1, *[1] * (wires.ndim - 2))
+    cos_p, sin_p = 2.0 / 3.0 * np.cos(probes), 2.0 / 3.0 * np.sin(probes)
+    lagrange = 1.0 / 3.0 + np.cos(wires) * cos_p + np.sin(wires) * sin_p
+    weights = np.ones((1, *lagrange.shape[2:]))
+    for wire in lagrange:
+        weights = (weights[:, None] * wire).reshape(-1, *wire.shape[1:])
+    return weights
+
+
+def _probe_states(n_qubits: int) -> np.ndarray:
+    """(3^N, 2^N) RX product states on the probe grid, in weight order."""
+    return rx_encode_raw(np.array(list(itertools.product(_PROBES, repeat=n_qubits))))
+
+
+def _encode(imgs: ImageBatch, spec: QuanvSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter-free half of the forward: the (n_blocks, 3^N, B, H', W')
+    interpolation weights of every patch, and the probe states.
+    weights[:, :, start:stop] holds images [start, stop)."""
     angles = _patch_angles(imgs, spec).transpose(1, 0, 2, 3, 4)
-    return rx_encode_raw(angles.reshape(-1, spec.n_qubits)).reshape(*angles.shape[:-1], -1)
+    return np.moveaxis(_interpolation_weights(angles), 1, 0), _probe_states(spec.n_qubits)
 
 
-def _run_circuits(encoded: np.ndarray, spec: QuanvSpec, keep: bool = True):
-    """Circuit half of the forward: feature maps of the encoded images and,
-    with keep, the per-circuit cache _backward_circuits needs. Without it the
-    cache is empty and each circuit's states are freed once decoded."""
-    n_blocks, b, hp, wp, dim = encoded.shape
-    rows = [encoded[blk].reshape(-1, dim) for blk in range(n_blocks)]
-    out = np.zeros((b, spec.out_channels, hp, wp))
-    circuit_cache = []
+def _run_circuits(probes: np.ndarray, spec: QuanvSpec):
+    """Circuit half of the forward: each circuit's value (its mean Z) on the
+    probe states as (n_blocks, 3^N, out_channels), and per circuit, in
+    circuit order, the (model, states, cache) _backward_circuits needs."""
+    n_blocks = spec.n_blocks
+    values = np.empty((n_blocks, probes.shape[0], spec.out_channels))
+    circuits = []
     for o in range(spec.out_channels):
         for blk in range(n_blocks):
             model = FullUnitaryModel(spec.n_qubits, spec.circuits[o * n_blocks + blk])
-            states, model_cache = model.forward(rows[blk])
-            zmean = z_expectations_raw(states, spec.n_qubits).mean(axis=1)
-            out[:, o] += zmean.reshape(b, hp, wp)
-            if keep:
-                circuit_cache.append((o, model, states, model_cache))
-    out /= n_blocks
-    return out, circuit_cache
+            states, model_cache = model.forward(probes)
+            values[blk, :, o] = z_expectations_raw(states, spec.n_qubits).mean(axis=1)
+            circuits.append((model, states, model_cache))
+    return values, circuits
+
+
+def _feature_maps(block_weights, values: np.ndarray) -> np.ndarray:
+    """(B, out_channels, H', W') maps: the mean over blocks of each block's
+    probe values times its (3^N, B, H', W') weights, one GEMM a block."""
+    total = None
+    for weights, block_values in zip(block_weights, values):
+        part = block_values.T @ weights.reshape(weights.shape[0], -1)
+        total = part if total is None else total + part
+    maps = (total / len(values)).reshape(-1, *weights.shape[1:])
+    return np.ascontiguousarray(maps.swapaxes(0, 1))
 
 
 def _forward_cached(imgs: ImageBatch, spec: QuanvSpec):
-    return _run_circuits(_encode(imgs, spec), spec)
+    weights, probes = _encode(imgs, spec)
+    values, circuits = _run_circuits(probes, spec)
+    return _feature_maps(weights, values), (weights, circuits)
 
 
 def quanv_forward(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
-    """Feature maps (B, out_channels, H', W'), each value in [-1, 1]. Keeps no
-    per-circuit states, since inference runs no backward pass."""
-    out, _ = _run_circuits(_encode(imgs, spec), spec, keep=False)
-    return out
+    """Feature maps (B, out_channels, H', W'), each value in [-1, 1]. Builds
+    one block's weights at a time, and keeps no circuit states, since
+    inference runs no backward pass."""
+    angles = _patch_angles(imgs, spec)
+    values = _run_circuits(_probe_states(spec.n_qubits), spec)[0]
+    return _feature_maps((_interpolation_weights(angles[:, blk]) for blk in range(spec.n_blocks)), values)
 
 
 def _backward_circuits(spec: QuanvSpec, cache, d_out: np.ndarray) -> list[np.ndarray]:
-    """Per-circuit parameter gradients given dL/d(feature maps)."""
-    scale = 1.0 / (spec.n_blocks * spec.n_qubits)
+    """Per-circuit parameter gradients given dL/d(feature maps): a block's
+    (3^N, patches) weights times dL/d(maps) is the cotangent of its
+    circuits' probe values."""
+    weights, circuits = cache
+    n_blocks, n_qubits = spec.n_blocks, spec.n_qubits
+    d_rows = d_out.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels) / (n_blocks * n_qubits)
+    d_values = [w.reshape(w.shape[0], -1) @ d_rows for w in weights]
     grads = []
-    for o, model, states, model_cache in cache:
-        g_rows = d_out[:, o].reshape(-1) * scale
-        gz = g_rows[:, None] * np.ones((1, spec.n_qubits))
-        grads.append(model.backward(model_cache, z_expectations_vjp(gz, states, spec.n_qubits)))
+    for c, (model, states, model_cache) in enumerate(circuits):
+        o, blk = divmod(c, n_blocks)
+        gz = np.repeat(d_values[blk][:, o, None], n_qubits, axis=1)
+        grads.append(model.backward(model_cache, z_expectations_vjp(gz, states, n_qubits)))
     return grads
 
 
@@ -266,9 +328,9 @@ def train_quanv_demo(
     Minibatch Adam (optim.fit) over the flat vector of circuits, then head
     weights and bias; accuracy over the full dataset is logged after every
     epoch, plus once before training starts. The images are encoded once
-    per call, and the circuits run one forward per parameter vector and
-    image range: when the batch is the whole set, each epoch's loss reuses
-    the forward of the accuracy pass before it.
+    per call, and the circuits run one forward on the probe states per
+    parameter vector and image range: when the batch is the whole set,
+    each epoch's loss reuses the forward of the accuracy pass before it.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (imgs.batch,):
@@ -278,8 +340,8 @@ def train_quanv_demo(
     if spec is None:
         spec = random_quanv_spec(spec_seed)
 
-    encoded = _encode(imgs, spec)
-    n_features = spec.out_channels * encoded.shape[2] * encoded.shape[3]
+    patch_weights, probes = _encode(imgs, spec)
+    n_features = spec.out_channels * patch_weights.shape[3] * patch_weights.shape[4]
     rng = np.random.default_rng(head_seed)
     weights = 0.01 * rng.standard_normal((n_features, n_classes))
     bias = np.zeros(n_classes)
@@ -300,8 +362,10 @@ def train_quanv_demo(
             last.clear()  # free the old states before the new ones are made
             thetas, _, _ = unpack(vec)
             current = dataclasses.replace(spec, circuits=tuple(thetas))
-            out, cache = _run_circuits(encoded[:, slice(*images)], current)
-            last.update(images=images, vec=vec.copy(), out=out, cache=cache)
+            block_weights = patch_weights[:, :, slice(*images)]
+            values, circuits = _run_circuits(probes, current)
+            out = _feature_maps(block_weights, values)
+            last.update(images=images, vec=vec.copy(), out=out, cache=(block_weights, circuits))
         return last["out"], last["cache"]
 
     def evaluate(vec, rows, want_grad: bool):

@@ -167,3 +167,41 @@ def z_values(amps: np.ndarray, n_qubits: int) -> np.ndarray:
                 bit = (j >> (n_qubits - 1 - i)) & 1
                 out[r, i] += p * (1.0 if bit == 0 else -1.0)
     return out
+
+
+def quanv_maps(
+    pixels: np.ndarray,
+    generators,
+    out_channels: int,
+    channel_block: int,
+    kernel: int,
+    stride: int,
+) -> np.ndarray:
+    """State-route quanvolution: (B, out_channels, H', W') feature maps.
+
+    Every patch of each channel block's mean image is RX-encoded as a
+    Kronecker product state, evolved by the Taylor exponential of its
+    circuit's generator and decoded to the mean of its brute-force Z
+    values; the blocks are averaged. `generators` holds the skew-Hermitian
+    (2^N, 2^N) matrices in circuit order: output channel o reads block b
+    through circuit o * n_blocks + b.
+    """
+    pixels = np.asarray(pixels, dtype=float)
+    b, c, h, w = pixels.shape
+    n_blocks = c // channel_block
+    hp, wp = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    unitaries = [taylor_expm(g) for g in generators]
+    out = np.zeros((b, out_channels, hp, wp))
+    for blk in range(n_blocks):
+        means = pixels[:, blk * channel_block : (blk + 1) * channel_block].mean(axis=1)
+        angles = [
+            means[i, r * stride : r * stride + kernel, q * stride : q * stride + kernel].ravel()
+            for i in range(b)
+            for r in range(hp)
+            for q in range(wp)
+        ]
+        amps = encode_rows(np.array(angles))
+        for o in range(out_channels):
+            evolved = amps @ unitaries[o * n_blocks + blk].T
+            out[:, o] += z_values(evolved, kernel * kernel).mean(axis=1).reshape(b, hp, wp)
+    return out / n_blocks

@@ -99,6 +99,25 @@ def test_quanv_demo_encodes_once_and_runs_one_forward_per_parameter_vector(trace
     assert tracer.calls["models.forward"] == passes * spec.n_circuits
 
 
+@pytest.mark.parametrize("n_images", [4, 10])
+def test_quanv_circuits_run_on_the_probe_grid_whatever_the_image_count(monkeypatch, n_images):
+    imgs, labels = quanv.synthetic_two_class(n_images, seed=0)
+    spec = quanv.random_quanv_spec(0)
+    inner = FullUnitaryModel.forward
+    rows = []
+
+    def recorded(self, amps):
+        rows.append(amps.shape[0])
+        return inner(self, amps)
+
+    monkeypatch.setattr(FullUnitaryModel, "forward", recorded)
+    cfg = optim.TrainConfig(epochs=2, batch_size=3, seed=0, learning_rate=0.05)
+    quanv.train_quanv_demo(imgs, labels, cfg, spec)
+    quanv.quanv_forward(imgs, spec)
+    assert len(rows) > spec.n_circuits
+    assert set(rows) == {3 ** spec.n_qubits} == {81}
+
+
 @pytest.mark.parametrize("build, generators", [
     (lambda: FullUnitaryModel.random(3, seed=0), 1),
     (lambda: PartitionedModel.random(4, 2, 3, seed=0), 6),  # 3 layers of 2 groups

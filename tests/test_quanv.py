@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from unitary_forge.liegroup import assemble, random_params
 from unitary_forge.optim import TrainConfig, adam_init, adam_step, derive_seeds
 from unitary_forge.quanv import (
     ImageBatch,
@@ -23,7 +24,7 @@ from unitary_forge.quanv import (
     train_quanv_demo,
 )
 
-from oracles import central_diff_grad, encode_rows, taylor_expm, z_values
+from oracles import central_diff_grad, encode_rows, quanv_maps, taylor_expm, z_values
 
 
 def small_spec(seed=0, **overrides):
@@ -35,6 +36,29 @@ def small_spec(seed=0, **overrides):
 def random_images(batch, channels, height, width, seed):
     rng = np.random.default_rng(seed)
     return ImageBatch(rng.uniform(-np.pi / 2, np.pi / 2, (batch, channels, height, width)))
+
+
+def mixing_spec(seed, kernel, stride, in_channels=4, out_channels=2, channel_block=2):
+    """A spec whose circuits are far from the identity: unit-scale generators."""
+    n_qubits = kernel * kernel
+    n_circuits = out_channels * (in_channels // channel_block)
+    circuits = tuple(random_params(2 ** n_qubits, s, scale=1.0) for s in derive_seeds(seed, n_circuits))
+    return QuanvSpec(in_channels=in_channels, out_channels=out_channels, kernel=kernel, stride=stride,
+                     n_qubits=n_qubits, channel_block=channel_block, circuits=circuits)
+
+
+def images_with_extreme_angles(seed, batch, channels, height, width, channel_block):
+    """`batch` uniform images, then `batch` whose block means are all exactly +-pi/2."""
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(-np.pi / 2, np.pi / 2, (batch, channels, height, width))
+    signs = rng.choice([-1.0, 1.0], (batch, channels // channel_block, height, width))
+    extreme = np.repeat(signs * (np.pi / 2), channel_block, axis=1)
+    return ImageBatch(np.concatenate([uniform, extreme]))
+
+
+def oracle_maps(imgs, spec):
+    generators = [assemble(t) for t in spec.circuits]
+    return quanv_maps(imgs.pixels, generators, spec.out_channels, spec.channel_block, spec.kernel, spec.stride)
 
 
 def reference_train(imgs, labels, cfg, spec):
@@ -176,8 +200,6 @@ class TestQuanvForward:
                 block_pixels = imgs.pixels[0, blk * 2 : blk * 2 + 2]
                 angles = block_pixels.mean(axis=0).ravel()
                 amps = encode_rows(angles[None, :])
-                from unitary_forge.liegroup import assemble
-
                 u = taylor_expm(assemble(spec.circuits[o * spec.n_blocks + blk]))
                 evolved = amps @ u.T
                 vals.append(z_values(evolved, 4).mean())
@@ -216,6 +238,38 @@ class TestQuanvForward:
             tracemalloc.stop()
         assert peak <= 40e6
         assert np.array_equal(out, _forward_cached(imgs, spec)[0])
+
+
+class TestProbeGridExactness:
+    """The probe-grid interpolation against the state route of tests/oracles.py."""
+
+    @pytest.mark.parametrize("kernel, stride", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_forward_matches_the_state_route(self, kernel, stride):
+        spec = mixing_spec(20, kernel, stride)
+        imgs = images_with_extreme_angles(20, 2, 4, 5, 5, spec.channel_block)
+        assert (np.abs(imgs.pixels[2:]) == np.pi / 2).all()
+        out = quanv_forward(imgs, spec)
+        want = oracle_maps(imgs, spec)
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("kernel", [1, 2])
+    def test_circuit_gradients_match_the_oracles_finite_differences(self, kernel):
+        spec = mixing_spec(21, kernel, stride=1)
+        imgs = images_with_extreme_angles(21, 1, 4, 3, 3, spec.channel_block)
+        out, cache = _forward_cached(imgs, spec)
+        d_out = np.random.default_rng(21).standard_normal(out.shape)
+        grads = _backward_circuits(spec, cache, d_out)
+        probe = spec.n_circuits - 1  # output channel 1 reading block 1
+
+        def loss(theta):
+            circuits = list(spec.circuits)
+            circuits[probe] = theta
+            return float(np.sum(d_out * oracle_maps(imgs, dataclasses.replace(spec, circuits=tuple(circuits)))))
+
+        fd = central_diff_grad(loss, spec.circuits[probe])
+        assert np.abs(fd).max() > 1e-3
+        assert np.allclose(grads[probe], fd, rtol=1e-6, atol=1e-9)
 
 
 class TestTrainQuanvDemo:
@@ -302,6 +356,22 @@ class TestTrainQuanvDemo:
         maps = quanv_forward(imgs, spec)
         logits = maps.reshape(imgs.batch, -1) @ np.asarray(params["head_weights"]) + params["head_bias"]
         assert float(np.mean(np.argmax(logits, axis=1) == labels)) == report.accuracy_curve[-1]
+
+    def test_training_keeps_no_patch_states(self):
+        # At batch < dataset the accuracy pass runs its own forward; over
+        # patch states that was ~103 MB at 256 default images, built and
+        # dropped every epoch. Each circuit now runs on the 81 probe states.
+        imgs, labels = synthetic_two_class(256, seed=9)
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=9, learning_rate=0.05)
+        spec = random_quanv_spec(9)
+        tracemalloc.start()
+        try:
+            report = train_quanv_demo(imgs, labels, cfg, spec=spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70e6
+        assert len(report.loss_curve) == 1
 
     @pytest.mark.parametrize("labels, missing", [([0, 2, 0, 2], r"\[1\]"), ([3, 0, 3, 0], r"\[1, 2\]")])
     def test_labels_that_skip_a_class_are_named(self, labels, missing):
