@@ -9,10 +9,11 @@ vector and the rest of the protocol (`n_params`, `get_params`,
 constructors, `forward`, `backward` and serialization payload. This is the
 only module that runs the generator -> unitary -> adjoint chain: the
 quanv layer runs each of its circuits as a FullUnitaryModel. `forward`
-exponentiates each generator through one eigh (matexp(x, basis=True))
-and caches the eigenbasis, which `backward` hands to matexp_vjp, so a
-training step decomposes each generator once; `apply` is `forward`, so
-inference and training agree bit for bit.
+exponentiates each generator with matexp(x, basis=True), the package's
+one exponential kernel (one eigh), and caches the eigenbasis, which
+`backward` hands to matexp_vjp, so a training step decomposes each
+generator once. `apply` is `forward`, and the circuit functions run the
+same kernel, so inference, training and the circuit path agree bit for bit.
 
 Three families cover the expressivity spectrum:
 

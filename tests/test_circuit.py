@@ -357,4 +357,4 @@ class TestModelForwardMatchesCircuitPath:
         model = PartitionedModel.random(n_qubits, group_size, 2, seed, scale=1.0)
         s = random_state(n_qubits, 3, seed)
         expected = apply_partitioned(s, model.as_partitioned_unitary()).amplitudes
-        assert np.allclose(model.apply(s).amplitudes, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(model.apply(s).amplitudes, expected)

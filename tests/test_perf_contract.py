@@ -18,7 +18,7 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 
 import unitary_forge  # noqa: E402
-from unitary_forge import circuit, linalg, optim, quanv  # noqa: E402
+from unitary_forge import circuit, liegroup, linalg, optim, quanv  # noqa: E402
 from unitary_forge.models import FullUnitaryModel, PartitionedModel  # noqa: E402
 
 
@@ -118,29 +118,48 @@ def test_quanv_circuits_run_on_the_probe_grid_whatever_the_image_count(monkeypat
     assert set(rows) == {3 ** spec.n_qubits} == {81}
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A one-element list counting np.linalg.eigh calls while the test runs."""
+    calls = [0]
+    inner = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 @pytest.mark.parametrize("build, generators", [
     (lambda: FullUnitaryModel.random(3, seed=0), 1),
     (lambda: PartitionedModel.random(4, 2, 3, seed=0), 6),  # 3 layers of 2 groups
     (lambda: PartitionedModel.random(3, 1, 2, seed=0), 6),  # 2 layers of 3 groups
 ], ids=["full", "partitioned-pairs", "partitioned-single-wires"])
-def test_training_step_runs_one_eigh_per_generator_and_no_pade(monkeypatch, build, generators):
+def test_training_step_runs_one_eigh_per_generator(eigh_calls, build, generators):
     model = build()
-    calls = {"eigh": 0, "pade": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(linalg, "_pade_uv", counted("pade", linalg._pade_uv))
     x, y = optim.identity_dataset(model.n_qubits, 4, seed=0)
     _, grad = optim.loss_and_grad(model, x, y)
-    assert calls == {"eigh": generators, "pade": 0}
+    assert eigh_calls[0] == generators
     assert np.isfinite(grad).all()
 
     # Inference is the training forward, bit for bit.
     states = circuit.rx_encode(x)
     out, _ = model.forward(states.amplitudes)
     assert np.array_equal(model.apply(states).amplitudes, out)
+
+
+def test_to_unitary_and_random_unitary_run_one_eigh(eigh_calls):
+    liegroup.to_unitary(liegroup.random_params(8, seed=0))
+    assert eigh_calls[0] == 1
+    linalg.random_unitary(8, seed=0)
+    assert eigh_calls[0] == 2
+
+
+def test_apply_partitioned_runs_one_eigh_per_generator(eigh_calls):
+    unitary = PartitionedModel.random(4, 2, 2, seed=0).as_partitioned_unitary()
+    states = circuit.rx_encode(optim.identity_dataset(4, 3, seed=0)[0])
+    assert eigh_calls[0] == 0
+    circuit.apply_partitioned(states, unitary)
+    assert eigh_calls[0] == 4  # 2 layers of 2 groups
