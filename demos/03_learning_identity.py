@@ -2,8 +2,9 @@
 
 Random features are RX-encoded, pushed through the trainable unitary,
 and Z-decoded; the targets are what decoding returns when the circuit
-does nothing. Starting from a random generator vector, Adam drives the
-mean squared error to ~1e-7 within a few dozen steps on 4 qubits.
+does nothing. Starting from a random generator vector on 4 qubits, Adam
+lowers the mean squared error from ~1e-2 in the first epoch to ~5e-5 by
+epoch 40 and ~2e-6 by epoch 120.
 """
 
 import numpy as np

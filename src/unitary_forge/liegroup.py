@@ -63,15 +63,15 @@ def param_dim(theta: np.ndarray) -> int:
 
 
 def assemble(theta: np.ndarray) -> np.ndarray:
-    """Build the skew-Hermitian matrix encoded by a real parameter vector."""
+    """Skew-Hermitian matrix of a real parameter vector; a (k, d^2) stack gives (k, d, d)."""
     theta = np.asarray(theta, dtype=np.float64)
-    d = param_dim(theta)
+    d = param_dim(theta[0] if theta.ndim == 2 else theta)
     diag_slots, rows, cols, re_slots, im_slots = _slots(d)
-    x = np.zeros((d, d), dtype=np.complex128)
-    x[np.arange(d), np.arange(d)] = 1j * theta[diag_slots]
-    upper = theta[re_slots] + 1j * theta[im_slots]
-    x[rows, cols] = upper
-    x[cols, rows] = -theta[re_slots] + 1j * theta[im_slots]
+    x = np.zeros((*theta.shape[:-1], d, d), dtype=np.complex128)
+    x[..., np.arange(d), np.arange(d)] = 1j * theta[..., diag_slots]
+    upper = theta[..., re_slots] + 1j * theta[..., im_slots]
+    x[..., rows, cols] = upper
+    x[..., cols, rows] = -theta[..., re_slots] + 1j * theta[..., im_slots]
     return x
 
 
@@ -97,23 +97,23 @@ def disassemble(x: np.ndarray) -> np.ndarray:
 
 
 def param_grad(abar: np.ndarray) -> np.ndarray:
-    """Chain-rule step from a matrix cotangent to parameter gradients.
+    """Chain-rule step from a matrix cotangent (or a stack) to parameter gradients.
 
     Given abar = dL/dX under <X, Y> = Re tr(X^H Y), returns g with
     g_i = Re<abar, dX/dtheta_i>. The matrix need not be skew-Hermitian;
     the projection onto the parametrized directions happens here.
     """
     abar = np.asarray(abar, dtype=np.complex128)
-    if abar.ndim != 2 or abar.shape[0] != abar.shape[1]:
-        raise ValueError(f"expected a square cotangent, got shape {abar.shape}")
-    d = abar.shape[0]
+    if abar.ndim not in (2, 3) or abar.shape[-1] != abar.shape[-2]:
+        raise ValueError(f"expected a square cotangent or a stack of them, got shape {abar.shape}")
+    d = abar.shape[-1]
     diag_slots, rows, cols, re_slots, im_slots = _slots(d)
-    g = np.empty(d * d, dtype=np.float64)
-    g[diag_slots] = abar.diagonal().imag
-    upper = abar[rows, cols]
-    lower = abar[cols, rows]
-    g[re_slots] = upper.real - lower.real
-    g[im_slots] = upper.imag + lower.imag
+    g = np.empty((*abar.shape[:-2], d * d), dtype=np.float64)
+    g[..., diag_slots] = abar.diagonal(axis1=-2, axis2=-1).imag
+    upper = abar[..., rows, cols]
+    lower = abar[..., cols, rows]
+    g[..., re_slots] = upper.real - lower.real
+    g[..., im_slots] = upper.imag + lower.imag
     return g
 
 

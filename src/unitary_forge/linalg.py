@@ -1,13 +1,14 @@
 """Dense complex linear algebra: the matrix exponential and its adjoint.
 
-All matrices are square complex128 ndarrays. The exponential takes only a
-generator A = iH that equals -A^H bit for bit, as every generator the
-package builds does, and has one route: one eigendecomposition
-H = V diag(w) V^H, then exp(A) = V e^{iw} V^H (Moler & Van Loan 2003,
-section 6). The vector-Jacobian product is the spectral (Daleckii-Krein)
-form in that basis, reused when the forward hands it over and computed
-otherwise, so training costs one eigh per generator. Any other matrix
-raises ValueError.
+All matrices are square complex128 ndarrays, or (k, d, d) stacks that
+each function runs in one pass, bitwise equal slice for slice to k single
+calls. The exponential takes only a generator A = iH that equals -A^H bit
+for bit, as every generator the package builds does, and has one route:
+one eigendecomposition H = V diag(w) V^H, then exp(A) = V e^{iw} V^H
+(Moler & Van Loan 2003, section 6). The vector-Jacobian product is the
+spectral (Daleckii-Krein) form in that basis, reused when the forward
+hands it over and computed otherwise, so training costs one eigh per
+generator. Any other matrix, or a stack with one, raises ValueError.
 
 Cotangents use the real inner product <X, Y> = Re tr(X^H Y); every
 gradient in the package is stated in that convention.
@@ -32,8 +33,8 @@ UNITARITY_TOL = 1e-6
 
 def _as_square_complex(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
@@ -50,7 +51,7 @@ def _skew_generator(a: np.ndarray, g: np.ndarray | None = None) -> tuple:
             raise ValueError(f"cotangent shape {g.shape} does not match matrix shape {a.shape}")
         if not np.isfinite(g).all():
             raise ValueError("the cotangent g must have finite entries")
-    if not np.array_equal(a, -a.conj().T):
+    if not np.array_equal(a, -a.conj().swapaxes(-1, -2)):
         raise ValueError("the exponential takes only skew-Hermitian generators, a == -a^H exactly")
     return a, g
 
@@ -66,7 +67,7 @@ def matexp(a: np.ndarray, *, basis: bool = False):
     """
     a, _ = _skew_generator(a)
     w, v = np.linalg.eigh(-1j * a)
-    u = (v * np.exp(1j * w)) @ v.conj().T
+    u = (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (u, (w, v)) if basis else u
 
 
@@ -95,16 +96,17 @@ def _spectral_vjp(basis: tuple[np.ndarray, np.ndarray], g: np.ndarray) -> np.nda
     w, v = basis
     half = np.exp(-0.5j * w)
     # conj(F); np.sinc(x) is sin(pi x) / (pi x), so this is sin(dw / 2) / (dw / 2).
-    f_conj = np.outer(half, half) * np.sinc(np.subtract.outer(w, w) / (2.0 * np.pi))
-    vh = v.conj().T
-    return v @ ((f_conj * (vh @ g @ v)) @ vh)
+    dw = w[..., :, None] - w[..., None, :]
+    f_conj = half[..., :, None] * half[..., None, :] * np.sinc(dw / (2.0 * np.pi))
+    vh = v.conj().swapaxes(-1, -2)
+    # np.multiply, not *: numpy swaps the operands of * on a large temporary, changing the rounding.
+    return v @ (np.multiply(f_conj, vh @ g @ v) @ vh)
 
 
 def unitarity_error(m: np.ndarray) -> float:
-    """Max-abs entry of M^H M - I; zero exactly when M is unitary."""
+    """Max-abs entry of M^H M - I (over a whole stack); zero exactly when M is unitary."""
     m = _as_square_complex(m)
-    d = m.shape[0]
-    return float(np.abs(m.conj().T @ m - np.eye(d)).max())
+    return float(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max())
 
 
 def require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:

@@ -8,17 +8,17 @@ vector and the rest of the protocol (`n_params`, `get_params`,
 `set_params`, `apply`, `serialized`); a model adds only its own
 constructors, `forward`, `backward` and serialization payload. This is the
 only module that runs the generator -> unitary -> adjoint chain: the
-quanv layer runs each of its circuits as a FullUnitaryModel. `forward`
-exponentiates each generator with matexp(x, basis=True), the package's
-one exponential kernel (one eigh), and caches the eigenbasis, which
-`backward` hands to matexp_vjp, so a training step decomposes each
+quanv layer runs all its circuits as one stacked FullUnitaryModel.
+`forward` exponentiates each generator with matexp(x, basis=True), the
+package's one exponential kernel (one eigh), and caches the eigenbasis,
+which `backward` hands to matexp_vjp, so a training step decomposes each
 generator once. `apply` is `forward`, and the circuit functions run the
 same kernel, so inference, training and the circuit path agree bit for bit.
 
 Three families cover the expressivity spectrum:
 
-* FullUnitaryModel - one generator vector of length 2^(2N); the whole
-  unitary group, applied as a single matrix product.
+* FullUnitaryModel - one generator vector of length 2^(2N), or a (k, 2^(2N))
+  stack of k circuits; the whole unitary group, applied as a matrix product.
 * PartitionedModel - per-layer wire partitions with one small generator
   per group; parameter count scales linearly in N for fixed group size.
 * AnsatzModel - a composed-gate circuit whose rotation angles are the
@@ -65,13 +65,13 @@ class _Model:
         return self.theta.copy()
 
     def set_params(self, theta: np.ndarray) -> None:
-        self._set_theta(theta, self.n_params)
+        self._set_theta(theta, self.theta.shape)
 
-    def _set_theta(self, theta: np.ndarray, expected: int) -> None:
+    def _set_theta(self, theta: np.ndarray, shape: tuple[int, ...]) -> None:
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != expected:
-            raise ValueError(f"parameter vector length {theta.size}, expected {expected}")
-        self.theta = theta.copy()
+        if theta.size != np.prod(shape):
+            raise ValueError(f"parameter vector length {theta.size}, expected {np.prod(shape)}")
+        self.theta = theta.reshape(shape).copy()
 
     def apply(self, s: StateBatch) -> StateBatch:
         out, _ = self.forward(s.amplitudes)
@@ -89,7 +89,7 @@ class FullUnitaryModel(_Model):
     def __init__(self, n_qubits: int, theta: np.ndarray):
         self.n_qubits = n_qubits
         self.dim = 2 ** n_qubits
-        self._set_theta(theta, self.dim ** 2)
+        self._set_theta(theta, (*np.shape(theta)[:-1], self.dim ** 2))
 
     @classmethod
     def random(cls, n_qubits: int, seed: int, scale: float | None = None) -> "FullUnitaryModel":
@@ -98,12 +98,12 @@ class FullUnitaryModel(_Model):
     def forward(self, amps: np.ndarray):
         x = assemble(self.theta)
         u, basis = matexp(x, basis=True)
-        out = amps @ u.T
+        out = amps @ u.swapaxes(-1, -2)
         return out, (amps, x, basis)
 
     def backward(self, cache, cot: np.ndarray) -> np.ndarray:
         in_amps, x, basis = cache
-        ubar = cot.T @ in_amps.conj()
+        ubar = cot.swapaxes(-1, -2) @ in_amps.conj()
         return param_grad(matexp_vjp(x, ubar, basis))
 
     def _payload(self) -> dict:
@@ -128,7 +128,7 @@ class PartitionedModel(_Model):
                 size = (2 ** len(group)) ** 2
                 self._slices.append((group, slice(offset, offset + size)))
                 offset += size
-        self._set_theta(theta, offset)
+        self._set_theta(theta, (offset,))
 
     @classmethod
     def random(

@@ -7,15 +7,16 @@ unitary is applied, and the four Z expectations are averaged into a
 scalar. Averaging keeps every value inside [-1, 1]. With the default
 16 -> 8 channel map and blocks of 4 this builds 8 * 4 = 32 circuits.
 
-Every circuit is a FullUnitaryModel, so the forward and reverse passes go
-through the same generator -> unitary -> adjoint chain as the identity
-task, but no circuit runs on a patch state. RX(x)|0> has Bloch vector
-(0, -sin x, cos x), so a circuit's value on a patch, Tr(U^H S U rho(x))/4
-with S the sum of the Z_i, lies in span{1, cos x_i, sin x_i} on each wire:
-a trigonometric polynomial of degree 1 in every angle (Schuld, Sweke &
-Meyer 2021). Three equally spaced probe angles p_a in {0, 2pi/3, -2pi/3}
-fix such a function through l_a(x) = (1 + 2 cos(x - p_a)) / 3, which is 1
-at p_a and 0 at the other two, so over the 3^N probe grid
+All circuits run as one FullUnitaryModel on the stack of their generator
+vectors, so one pass of the identity task's generator -> unitary ->
+adjoint chain serves them all, but no circuit runs on a patch state.
+RX(x)|0> has Bloch vector (0, -sin x, cos x), so a circuit's value on a
+patch, Tr(U^H S U rho(x))/4 with S the sum of the Z_i, lies in
+span{1, cos x_i, sin x_i} on each wire: a trigonometric polynomial of
+degree 1 in every angle (Schuld, Sweke & Meyer 2021). Three equally
+spaced probe angles p_a in {0, 2pi/3, -2pi/3} fix such a function through
+l_a(x) = (1 + 2 cos(x - p_a)) / 3, which is 1 at p_a and 0 at the other
+two, so over the 3^N probe grid
 
     g(x) = sum_j prod_i l_{j_i}(x_i) g(p_j)
 
@@ -30,9 +31,10 @@ each patch carries 19,683 weights.
 
 The forward splits into a parameter-free encoder (_encode: patch means ->
 interpolation weights, plus the probe states) and a circuit pass over the
-probe states (_run_circuits). The demo classifier puts a linear-softmax
-head on the flattened feature maps and trains head and circuits jointly;
-it encodes its images once and runs one circuit pass per parameter vector.
+probe states (_run_circuits), which depends on the circuit parameters
+only. The demo classifier puts a linear-softmax head on the flattened
+feature maps and trains head and circuits jointly; it encodes its images
+once and runs one circuit pass per set of circuit parameters.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class QuanvSpec:
             raise ValueError(f"need {expected} circuits, got {len(circuits)}")
         dim = 2 ** self.n_qubits
         for t in circuits:
-            if t.size != dim * dim:
-                raise ValueError(f"each circuit needs {dim * dim} parameters, got {t.size}")
+            if t.shape != (dim * dim,):
+                raise ValueError(f"each circuit needs a vector of {dim * dim} parameters, got shape {t.shape}")
         object.__setattr__(self, "circuits", circuits)
 
     @property
@@ -222,18 +224,13 @@ def _encode(imgs: ImageBatch, spec: QuanvSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_circuits(probes: np.ndarray, spec: QuanvSpec):
     """Circuit half of the forward: each circuit's value (its mean Z) on the
-    probe states as (n_blocks, 3^N, out_channels), and per circuit, in
-    circuit order, the (model, states, cache) _backward_circuits needs."""
-    n_blocks = spec.n_blocks
-    values = np.empty((n_blocks, probes.shape[0], spec.out_channels))
-    circuits = []
-    for o in range(spec.out_channels):
-        for blk in range(n_blocks):
-            model = FullUnitaryModel(spec.n_qubits, spec.circuits[o * n_blocks + blk])
-            states, model_cache = model.forward(probes)
-            values[blk, :, o] = z_expectations_raw(states, spec.n_qubits).mean(axis=1)
-            circuits.append((model, states, model_cache))
-    return values, circuits
+    probe states as (n_blocks, 3^N, out_channels), and the (model, states,
+    cache) of the one stacked pass over all circuits for _backward_circuits."""
+    model = FullUnitaryModel(spec.n_qubits, np.stack(spec.circuits))
+    states, model_cache = model.forward(probes)
+    values = z_expectations_raw(states, spec.n_qubits).mean(axis=-1)
+    values = values.reshape(spec.out_channels, spec.n_blocks, -1).transpose(1, 2, 0)
+    return values, (model, states, model_cache)
 
 
 def _feature_maps(block_weights, values: np.ndarray) -> np.ndarray:
@@ -262,20 +259,17 @@ def quanv_forward(imgs: ImageBatch, spec: QuanvSpec) -> np.ndarray:
     return _feature_maps((_interpolation_weights(angles[:, blk]) for blk in range(spec.n_blocks)), values)
 
 
-def _backward_circuits(spec: QuanvSpec, cache, d_out: np.ndarray) -> list[np.ndarray]:
-    """Per-circuit parameter gradients given dL/d(feature maps): a block's
-    (3^N, patches) weights times dL/d(maps) is the cotangent of its
+def _backward_circuits(spec: QuanvSpec, cache, d_out: np.ndarray) -> np.ndarray:
+    """(n_circuits, 4^N) parameter gradients given dL/d(feature maps): a
+    block's (3^N, patches) weights times dL/d(maps) is the cotangent of its
     circuits' probe values."""
-    weights, circuits = cache
-    n_blocks, n_qubits = spec.n_blocks, spec.n_qubits
-    d_rows = d_out.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels) / (n_blocks * n_qubits)
-    d_values = [w.reshape(w.shape[0], -1) @ d_rows for w in weights]
-    grads = []
-    for c, (model, states, model_cache) in enumerate(circuits):
-        o, blk = divmod(c, n_blocks)
-        gz = np.repeat(d_values[blk][:, o, None], n_qubits, axis=1)
-        grads.append(model.backward(model_cache, z_expectations_vjp(gz, states, n_qubits)))
-    return grads
+    weights, (model, states, model_cache) = cache
+    n_qubits = spec.n_qubits
+    d_rows = d_out.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels) / (spec.n_blocks * n_qubits)
+    d_values = np.stack([w.reshape(w.shape[0], -1) @ d_rows for w in weights])
+    # (n_blocks, 3^N, out_channels) -> circuit order o * n_blocks + blk
+    gz = np.repeat(d_values.transpose(2, 0, 1).reshape(spec.n_circuits, -1, 1), n_qubits, axis=-1)
+    return model.backward(model_cache, z_expectations_vjp(gz, states, n_qubits))
 
 
 @dataclass
@@ -328,9 +322,9 @@ def train_quanv_demo(
     Minibatch Adam (optim.fit) over the flat vector of circuits, then head
     weights and bias; accuracy over the full dataset is logged after every
     epoch, plus once before training starts. The images are encoded once
-    per call, and the circuits run one forward on the probe states per
-    parameter vector and image range: when the batch is the whole set,
-    each epoch's loss reuses the forward of the accuracy pass before it.
+    per call, and the circuits run one stacked forward on the probe states
+    per set of circuit parameters: each epoch's first loss reuses the pass
+    of the accuracy evaluation before it, and at full batch its maps too.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (imgs.batch,):
@@ -354,18 +348,20 @@ def train_quanv_demo(
         thetas, w, b = np.split(vec, [n_circuit_params, n_circuit_params + weights.size])
         return thetas.reshape(spec.n_circuits, -1), w.reshape(weights.shape), b
 
-    last = {}  # the latest forward, keyed on its image range and parameter values
+    last = {}  # the latest circuit pass, keyed on its parameters, and its maps on their image range
 
     def forward(vec, rows):
+        thetas, _, _ = unpack(vec)
         images = rows.indices(imgs.batch)[:2]
-        if last.get("images") != images or not np.array_equal(last["vec"], vec):
+        if "thetas" not in last or not np.array_equal(last["thetas"], thetas):
             last.clear()  # free the old states before the new ones are made
-            thetas, _, _ = unpack(vec)
             current = dataclasses.replace(spec, circuits=tuple(thetas))
+            last.update(thetas=thetas.copy(), circuit_pass=_run_circuits(probes, current))
+        if last.get("images") != images:
+            values, circuits = last["circuit_pass"]
             block_weights = patch_weights[:, :, slice(*images)]
-            values, circuits = _run_circuits(probes, current)
             out = _feature_maps(block_weights, values)
-            last.update(images=images, vec=vec.copy(), out=out, cache=(block_weights, circuits))
+            last.update(images=images, out=out, cache=(block_weights, circuits))
         return last["out"], last["cache"]
 
     def evaluate(vec, rows, want_grad: bool):
@@ -381,7 +377,7 @@ def train_quanv_demo(
         d_feats = dlogits @ w.T
         d_out = d_feats.reshape(out.shape)
         circuit_grads = _backward_circuits(spec, cache, d_out)
-        grad = np.concatenate([np.concatenate(circuit_grads), d_w.ravel(), d_b])
+        grad = np.concatenate([circuit_grads.ravel(), d_w.ravel(), d_b])
         return loss, grad
 
     all_rows = slice(None)

@@ -95,6 +95,33 @@ class TestParamGrad:
         assert np.allclose(param_grad(abar), fd, rtol=1e-6, atol=1e-9)
 
 
+class TestStack:
+    """A (k, d^2) stack assembles to (k, d, d) and back, equal to k single calls bitwise."""
+
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    def test_equals_per_slice_calls_bitwise(self, d, k):
+        rng = np.random.default_rng(500 + d + k)
+        thetas = rng.standard_normal((k, d * d))
+        abar = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+        x = assemble(thetas)
+        g = param_grad(abar)
+        assert x.shape == (k, d, d) and g.shape == (k, d * d)
+        for i in range(k):
+            assert np.array_equal(x[i], assemble(thetas[i]))
+            assert np.array_equal(g[i], param_grad(abar[i]))
+
+    def test_bad_stack_shapes_raise(self):
+        with pytest.raises(ValueError, match="perfect square"):
+            assemble(np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="1-D"):
+            assemble(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            param_grad(np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError, match="square"):
+            param_grad(np.zeros((2, 3, 4, 4)))
+
+
 class TestToUnitary:
     def test_zero_parameters_give_identity(self):
         assert np.allclose(to_unitary(np.zeros(9)), np.eye(3), atol=1e-15)

@@ -338,6 +338,76 @@ class TestSharedBasis:
         assert unitarity_error(u) <= UNITARITY_TOL
 
 
+class TestStack:
+    """A (k, d, d) stack runs as one call and equals k single calls bitwise."""
+
+    @staticmethod
+    def stack(d, k, seed):
+        rng = np.random.default_rng(seed)
+        a = np.stack([random_skew_hermitian(d, rng) for _ in range(k)])
+        g = np.stack([random_cotangent(d, rng) for _ in range(k)])
+        return a, g
+
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    def test_equals_per_slice_calls_bitwise(self, d, k):
+        a, g = self.stack(d, k, seed=400 + d + k)
+        u, (w, v) = matexp(a, basis=True)
+        assert u.shape == v.shape == (k, d, d) and w.shape == (k, d)
+        assert np.array_equal(matexp(a), u)
+        abar = matexp_vjp(a, g, (w, v))
+        assert np.array_equal(matexp_vjp(a, g), abar)
+        for i in range(k):
+            u_i, (w_i, v_i) = matexp(a[i], basis=True)
+            assert np.array_equal(u[i], u_i)
+            assert np.array_equal(w[i], w_i) and np.array_equal(v[i], v_i)
+            assert np.array_equal(abar[i], matexp_vjp(a[i], g[i], (w_i, v_i)))
+        assert unitarity_error(u) == max(unitarity_error(u_i) for u_i in u)
+
+    def test_vjp_matches_the_series_and_scipy_slice_by_slice(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        a, g = self.stack(8, 3, seed=410)
+        a[2] *= 20.0
+        got = matexp_vjp(a, g, matexp(a, basis=True)[1])
+        for a_i, g_i, got_i in zip(a, g, got):
+            assert rel_err(got_i, taylor_vjp(a_i, g_i)) <= 1e-12
+            assert rel_err(got_i, scipy_linalg.expm_frechet(a_i.conj().T, g_i, compute_expm=False)) <= 1e-12
+
+    def test_one_non_skew_slice_raises(self):
+        a, g = self.stack(4, 3, seed=420)
+        a[1] = skew_with_spectrum([0.3, -1.2, 0.7, 2.5], seed=420)
+        assert not np.array_equal(a[1], -a[1].conj().T)
+        with pytest.raises(ValueError, match="a == -a\\^H"):
+            matexp(a, basis=True)
+        with pytest.raises(ValueError, match="a == -a\\^H"):
+            matexp_vjp(a, g)
+
+    @pytest.mark.parametrize("where", ["a", "g"])
+    def test_one_non_finite_slice_raises(self, where):
+        a, g = self.stack(4, 3, seed=430)
+        _, basis = matexp(a, basis=True)
+        if where == "a":
+            a[2, 1, 1] = complex(0.0, np.inf)  # still a == -a^H bitwise
+            assert np.array_equal(a, -a.conj().swapaxes(-1, -2))
+            with pytest.raises(ValueError, match="finite"):
+                matexp(a)
+        else:
+            g[2, 0, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            matexp_vjp(a, g, basis)
+
+    def test_mismatched_cotangent_stack_raises(self):
+        a, g = self.stack(4, 3, seed=440)
+        for bad in (g[:2], g[0], g[:, :3, :3]):
+            with pytest.raises(ValueError, match="match|square"):
+                matexp_vjp(a, bad)
+
+    def test_more_than_one_stack_axis_raises(self):
+        a, _ = self.stack(2, 4, seed=450)
+        with pytest.raises(ValueError, match="square"):
+            matexp(a.reshape(2, 2, 2, 2))
+
+
 class TestUnitarityError:
     def test_identity_is_exact(self):
         assert unitarity_error(np.eye(4)) == 0.0

@@ -123,6 +123,31 @@ class TestLossAndGrad:
         fd = fd_model_grad(model, features, targets)
         assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
+    def test_stacked_full_unitary_matches_finite_differences(self):
+        # Three circuits on one input batch: Re<c, outputs> against central
+        # differences of the flat (3 * 16)-vector.
+        rng = np.random.default_rng(6)
+        model = FullUnitaryModel(2, np.stack([FullUnitaryModel.random(2, seed=s).theta for s in range(3)]))
+        amps = rx_encode(rng.uniform(-1.5, 1.5, (5, 2))).amplitudes
+        cot = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        out, cache = model.forward(amps)
+        assert out.shape == (3, 5, 4)
+        grad = model.backward(cache, cot)
+        assert grad.shape == (3, 16)
+        theta0 = model.get_params()
+
+        def f(flat):
+            model.set_params(flat)
+            return float(np.sum(cot.conj() * model.forward(amps)[0]).real)
+
+        fd = central_diff_grad(f, theta0.ravel())
+        assert np.allclose(grad.ravel(), fd, rtol=1e-5, atol=1e-8)
+        for i in range(3):
+            single = FullUnitaryModel(2, theta0[i])
+            out_i, cache_i = single.forward(amps)
+            assert np.array_equal(out[i], out_i)
+            assert np.array_equal(grad[i], single.backward(cache_i, cot[i]))
+
     def test_two_gate_ansatz_matches_finite_differences(self):
         circuit = AnsatzCircuit(2, (GateOp("RX", (0,), 0.3), GateOp("RY", (1,), -0.7)))
         model = AnsatzModel(circuit)
@@ -196,6 +221,17 @@ class TestModelSurface:
         model = FullUnitaryModel.random(1, seed=0)
         with pytest.raises(ValueError, match="length"):
             model.set_params(np.zeros(5))
+
+    def test_set_params_keeps_a_stacked_shape(self):
+        model = FullUnitaryModel(1, np.zeros((3, 4)))
+        assert model.n_params == 12
+        model.set_params(np.arange(12.0))
+        assert model.theta.shape == (3, 4)
+        assert np.array_equal(model.get_params(), np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ValueError, match="length 8, expected 12"):
+            model.set_params(np.zeros(8))
+        with pytest.raises(ValueError, match="length 6, expected 8"):  # two rows of 4
+            FullUnitaryModel(1, np.zeros((2, 3)))
 
     def test_serialized_payloads(self):
         m = FullUnitaryModel.random(2, seed=1)

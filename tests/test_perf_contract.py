@@ -6,6 +6,7 @@ perfbench/ times layers by wrapping public functions at every import site
 correctly, so only these checks catch it before a full benchmark run.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -90,13 +91,16 @@ def test_quanv_demo_records_one_adam_step_per_minibatch(tracer):
 
 @pytest.mark.parametrize("batch, passes", [
     (4, 3),  # initial accuracy + one per epoch; each loss reuses the accuracy pass before it
-    (3, 7),  # initial accuracy + per epoch two minibatches and one accuracy pass
+    (3, 5),  # initial accuracy + per epoch the second minibatch and one accuracy pass;
+             # each epoch's first minibatch reuses the accuracy pass before it
 ])
 def test_quanv_demo_encodes_once_and_runs_one_forward_per_parameter_vector(tracer, batch, passes):
     imgs, labels, spec, _ = tiny_quanv()
     quanv.train_quanv_demo(imgs, labels, optim.TrainConfig(epochs=2, batch_size=batch, seed=0), spec)
     assert tracer.calls["circuit.encode"] == 1
-    assert tracer.calls["models.forward"] == passes * spec.n_circuits
+    # One stacked model runs all circuits: one forward and one exponential a pass.
+    assert tracer.calls["models.forward"] == passes
+    assert tracer.calls["linalg.matexp"] == passes
 
 
 @pytest.mark.parametrize("n_images", [4, 10])
@@ -104,18 +108,20 @@ def test_quanv_circuits_run_on_the_probe_grid_whatever_the_image_count(monkeypat
     imgs, labels = quanv.synthetic_two_class(n_images, seed=0)
     spec = quanv.random_quanv_spec(0)
     inner = FullUnitaryModel.forward
-    rows = []
+    calls = []
 
     def recorded(self, amps):
-        rows.append(amps.shape[0])
+        calls.append((self.theta.shape, amps.shape[0]))
         return inner(self, amps)
 
     monkeypatch.setattr(FullUnitaryModel, "forward", recorded)
     cfg = optim.TrainConfig(epochs=2, batch_size=3, seed=0, learning_rate=0.05)
     quanv.train_quanv_demo(imgs, labels, cfg, spec)
     quanv.quanv_forward(imgs, spec)
-    assert len(rows) > spec.n_circuits
-    assert set(rows) == {3 ** spec.n_qubits} == {81}
+    # initial accuracy, then per epoch one pass a minibatch after the first
+    # and one accuracy pass, then inference
+    assert len(calls) == 1 + cfg.epochs * math.ceil(n_images / cfg.batch_size) + 1
+    assert set(calls) == {((spec.n_circuits, 4 ** spec.n_qubits), 3 ** spec.n_qubits)} == {((32, 256), 81)}
 
 
 @pytest.fixture

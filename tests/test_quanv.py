@@ -6,13 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from unitary_forge.circuit import z_expectations_raw, z_expectations_vjp
 from unitary_forge.liegroup import assemble, random_params
+from unitary_forge.models import FullUnitaryModel
 from unitary_forge.optim import TrainConfig, adam_init, adam_step, derive_seeds
 from unitary_forge.quanv import (
     ImageBatch,
     QuanvSpec,
     _backward_circuits,
+    _encode,
     _forward_cached,
+    _run_circuits,
     _softmax_cross_entropy,
     extract_patches,
     images_to_csv,
@@ -167,6 +171,15 @@ class TestQuanvSpec:
         with pytest.raises(ValueError, match="divide"):
             random_quanv_spec(seed=0, in_channels=6, channel_block=4)
 
+    def test_circuits_must_be_parameter_vectors(self):
+        # The circuits run as one (n_circuits, 4^N) stack, so each must be a vector.
+        spec = small_spec()
+        square = tuple(t.reshape(16, 16) for t in spec.circuits)
+        with pytest.raises(ValueError, match="vector of 256 parameters, got shape \\(16, 16\\)"):
+            dataclasses.replace(spec, circuits=square)
+        with pytest.raises(ValueError, match="got shape \\(255,\\)"):
+            dataclasses.replace(spec, circuits=(spec.circuits[0][1:],) + spec.circuits[1:])
+
 
 class TestQuanvForward:
     def test_identity_circuits_on_constant_image(self):
@@ -270,6 +283,50 @@ class TestProbeGridExactness:
         fd = central_diff_grad(loss, spec.circuits[probe])
         assert np.abs(fd).max() > 1e-3
         assert np.allclose(grads[probe], fd, rtol=1e-6, atol=1e-9)
+
+
+class TestStackedCircuits:
+    """The one stacked FullUnitaryModel pass against a loop of one model per circuit."""
+
+    @staticmethod
+    def looped(spec, weights, probes, d_out):
+        """Each circuit's probe values, states and gradient from its own
+        single-generator FullUnitaryModel; circuit c = o * n_blocks + blk."""
+        n_blocks, n = spec.n_blocks, spec.n_qubits
+        d_rows = d_out.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels) / (n_blocks * n)
+        values = np.empty((n_blocks, probes.shape[0], spec.out_channels))
+        states, grads = [], []
+        for c, theta in enumerate(spec.circuits):
+            o, blk = divmod(c, n_blocks)
+            model = FullUnitaryModel(n, theta)
+            out, cache = model.forward(probes)
+            values[blk, :, o] = z_expectations_raw(out, n).mean(axis=1)
+            d_values = weights[blk].reshape(weights.shape[1], -1) @ d_rows
+            gz = np.repeat(d_values[:, o, None], n, axis=1)
+            states.append(out)
+            grads.append(model.backward(cache, z_expectations_vjp(gz, out, n)))
+        return values, np.stack(states), np.stack(grads)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (random_quanv_spec(30), synthetic_two_class(3, seed=30)[0]),
+        lambda: (mixing_spec(31, kernel=1, stride=1), random_images(2, 4, 3, 3, seed=31)),
+    ], ids=["default", "kernel-1"])
+    def test_equals_a_loop_of_single_models_bitwise(self, make):
+        spec, imgs = make()
+        weights, probes = _encode(imgs, spec)
+        values, circuit_pass = _run_circuits(probes, spec)
+        model, states, _ = circuit_pass
+        d = 2 ** spec.n_qubits
+        assert model.theta.shape == (spec.n_circuits, d * d)
+        assert states.shape == (spec.n_circuits, 3 ** spec.n_qubits, d)
+        out, cache = _forward_cached(imgs, spec)
+        d_out = np.random.default_rng(32).standard_normal(out.shape)
+        grads = _backward_circuits(spec, (weights, circuit_pass), d_out)
+        want_values, want_states, want_grads = self.looped(spec, weights, probes, d_out)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(grads, want_grads)
+        assert np.array_equal(_backward_circuits(spec, cache, d_out), grads)
 
 
 class TestTrainQuanvDemo:
