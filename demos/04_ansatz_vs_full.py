@@ -13,14 +13,22 @@ expressivity for a parameter count linear in N.
 
 import numpy as np
 
-from unitary_forge.circuit import rx_matrix, ry_matrix, rx_ry_generator_params
+from unitary_forge.circuit import (
+    AnsatzCircuit,
+    GateOp,
+    StateBatch,
+    run_ansatz,
+    rx_ry_generator_params,
+)
 from unitary_forge.liegroup import to_unitary
 from unitary_forge.models import FullUnitaryModel, PartitionedModel
 
 np.set_printoptions(precision=4, suppress=True)
 
 t1, t2 = 0.9, -1.7
-product = np.kron(rx_matrix(t1), ry_matrix(t2))
+circuit = AnsatzCircuit(2, (GateOp("RX", (0,), t1), GateOp("RY", (1,), t2)))
+# Row j of the output is the circuit applied to basis state j: U's column j.
+product = run_ansatz(StateBatch(np.eye(4)), circuit).amplitudes.T
 theta = rx_ry_generator_params(t1, t2)
 rebuilt = to_unitary(theta)
 

@@ -8,6 +8,12 @@ sum(q_i << (N-1-i)).
 Subsystem unitaries are applied by index gymnastics (reshape to a rank-N
 tensor, move the target axes, one matmul) rather than by building the
 dense 2^N x 2^N operator; the dense route exists only as a test oracle.
+
+A gate circuit has one forward path: `AnsatzCircuit.chain` compiles it to
+(wires, angle index) steps and a stack of rotation Paulis, and
+`run_ansatz_raw` walks those steps. `run_ansatz` and `AnsatzModel` both
+run that walk, so the circuit checked against dense oracles is the one
+that trains.
 """
 
 from __future__ import annotations
@@ -28,18 +34,12 @@ __all__ = [
     "WirePartition",
     "PartitionedUnitary",
     "rx_encode",
-    "apply_full",
     "apply_group",
     "apply_partitioned",
-    "apply_gate",
     "run_ansatz",
     "z_expectations",
     "random_layer",
     "cyclic_partitions",
-    "gate_matrix",
-    "rx_matrix",
-    "ry_matrix",
-    "rz_matrix",
     "CNOT_MATRIX",
     "rx_ry_generator_params",
 ]
@@ -54,37 +54,12 @@ CNOT_MATRIX = np.array(
 )
 
 
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]],
-        dtype=np.complex128,
-    )
-
-
-_ROTATIONS = {"RX": rx_matrix, "RY": ry_matrix, "RZ": rz_matrix}
-
 # Pauli generator G of each rotation kind: the gate is exp(-i theta G / 2).
 ROTATION_PAULIS = {
     "RX": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "RY": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "RZ": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-
-
-def gate_matrix(op: "GateOp") -> np.ndarray:
-    if op.kind == "CNOT":
-        return CNOT_MATRIX
-    return _ROTATIONS[op.kind](op.theta)
 
 
 @dataclass(frozen=True)
@@ -102,7 +77,7 @@ class StateBatch:
             raise ValueError(f"invalid batch shape {amps.shape}: width must be a power of two >= 2")
         norms = np.abs(amps) ** 2
         dev = float(np.abs(norms.sum(axis=1) - 1.0).max())
-        if dev > NORM_TOL:
+        if not dev <= NORM_TOL:  # also catches a NaN deviation
             raise ValueError(f"rows are not normalized: max|norm^2 - 1| = {dev:.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -135,6 +110,8 @@ class GateOp:
             if self.theta is None:
                 raise ValueError(f"{self.kind} requires an angle")
             object.__setattr__(self, "theta", float(self.theta))
+            if not math.isfinite(self.theta):
+                raise ValueError(f"{self.kind} angle must be finite, got {self.theta}")
         elif self.kind == "CNOT":
             if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
                 raise ValueError(f"CNOT needs distinct control and target, got {self.wires}")
@@ -177,6 +154,15 @@ class AnsatzCircuit:
         )
         return AnsatzCircuit(self.n_qubits, ops)
 
+    def chain(self) -> tuple[list, np.ndarray]:
+        """Compile to (wires, angle index) steps, None for a CNOT, and the
+        (R, 2, 2) stack of each rotation's Pauli, in angle order."""
+        rotations = [op for op in self.ops if op.kind in ROTATION_KINDS]
+        paulis = np.array([ROTATION_PAULIS[op.kind] for op in rotations]).reshape(-1, 2, 2)
+        index = iter(range(len(rotations)))
+        steps = [(op.wires, next(index) if op.kind in ROTATION_KINDS else None) for op in self.ops]
+        return steps, paulis
+
     def to_json(self) -> str:
         payload = {
             "n_qubits": self.n_qubits,
@@ -187,14 +173,6 @@ class AnsatzCircuit:
             ],
         }
         return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnsatzCircuit":
-        payload = json.loads(text)
-        ops = tuple(
-            GateOp(o["kind"], tuple(o["wires"]), o.get("theta")) for o in payload["ops"]
-        )
-        return cls(payload["n_qubits"], ops)
 
 
 @dataclass(frozen=True)
@@ -265,17 +243,6 @@ class PartitionedUnitary:
             ],
         }
         return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionedUnitary":
-        payload = json.loads(text)
-        n = payload["n_qubits"]
-        layers = []
-        for layer in payload["layers"]:
-            groups = tuple(tuple(g["wires"]) for g in layer["groups"])
-            thetas = tuple(np.asarray(g["theta"], dtype=np.float64) for g in layer["groups"])
-            layers.append((WirePartition(n, groups), thetas))
-        return cls(n, tuple(layers))
 
 
 def cyclic_partitions(n_qubits: int, group_size: int, n_layers: int) -> list[WirePartition]:
@@ -353,6 +320,20 @@ def group_cotangent(
     return c.T @ p.conj()
 
 
+def run_ansatz_raw(amps: np.ndarray, n_qubits: int, steps: list, paulis: np.ndarray, theta: np.ndarray):
+    """Walk compiled gate-chain steps; returns the outputs and the rotations.
+
+    One vectorized cos/sin builds every rotation exp(-i theta G / 2) =
+    cos(theta/2) I - i sin(theta/2) G, then each step is one application.
+    """
+    half = 0.5 * theta[:, None, None]
+    rot = np.cos(half) * np.eye(2) - 1j * np.sin(half) * paulis
+    out = amps
+    for wires, r in steps:
+        out = apply_group_raw(out, n_qubits, wires, CNOT_MATRIX if r is None else rot[r])
+    return out, rot
+
+
 def _to_subsystem_matrix(amps: np.ndarray, n_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
     b = amps.shape[0]
     k = len(wires)
@@ -412,19 +393,11 @@ def rx_encode(features: np.ndarray) -> StateBatch:
     return StateBatch(rx_encode_raw(features))
 
 
-def apply_full(s: StateBatch, u: np.ndarray) -> StateBatch:
-    """Multiply every row by one unitary covering all wires."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (s.dim, s.dim):
-        raise ValueError(f"operator shape {u.shape} does not match state dimension {s.dim}")
-    return StateBatch(s.amplitudes @ u.T)
-
-
 def apply_group(s: StateBatch, wires: tuple[int, ...], u_small: np.ndarray) -> StateBatch:
     """Apply a small unitary to a subset of wires.
 
-    Equivalent to apply_full with the identity everywhere else and u_small
-    permuted onto the listed wires; the first listed wire is the
+    Equivalent to the dense operator with the identity everywhere else and
+    u_small permuted onto the listed wires; the first listed wire is the
     most-significant bit of u_small's index space.
     """
     wires = tuple(int(w) for w in wires)
@@ -450,17 +423,11 @@ def apply_partitioned(s: StateBatch, pu: PartitionedUnitary) -> StateBatch:
     return out
 
 
-def apply_gate(s: StateBatch, g: GateOp) -> StateBatch:
-    return apply_group(s, g.wires, gate_matrix(g))
-
-
 def run_ansatz(s: StateBatch, c: AnsatzCircuit) -> StateBatch:
     if c.n_qubits != s.n_qubits:
         raise ValueError("circuit wire count does not match the state")
-    out = s
-    for op in c.ops:
-        out = apply_gate(out, op)
-    return out
+    out, _ = run_ansatz_raw(s.amplitudes, s.n_qubits, *c.chain(), c.angles())
+    return StateBatch(out)
 
 
 def z_expectations(s: StateBatch) -> np.ndarray:

@@ -12,8 +12,10 @@ quanv layer runs all its circuits as one stacked FullUnitaryModel.
 `forward` exponentiates each generator with matexp(x, basis=True), the
 package's one exponential kernel (one eigh), and caches the eigenbasis,
 which `backward` hands to matexp_vjp, so a training step decomposes each
-generator once. `apply` is `forward`, and the circuit functions run the
-same kernel, so inference, training and the circuit path agree bit for bit.
+generator once. `apply` is `forward`. The circuit functions run the same
+kernels (the gate chain is compiled and walked in circuit.py, for the
+model and `run_ansatz` alike), so inference, training and the circuit
+path agree bit for bit.
 
 Three families cover the expressivity spectrum:
 
@@ -36,14 +38,13 @@ from .circuit import (
     AnsatzCircuit,
     CNOT_MATRIX,
     PartitionedUnitary,
-    ROTATION_KINDS,
-    ROTATION_PAULIS,
     StateBatch,
     WirePartition,
     apply_group_raw,
     cyclic_partitions,
     group_cotangent,
     random_layer,
+    run_ansatz_raw,
 )
 from .liegroup import assemble, param_grad, random_params
 from .linalg import matexp, matexp_vjp
@@ -179,13 +180,13 @@ class PartitionedModel(_Model):
 class AnsatzModel(_Model):
     """Composed-gate circuit whose rotation angles are the parameters.
 
-    Built once into (wires, angle index) steps, None for a CNOT, and a
-    stack of each rotation's Pauli G, so one vectorized cos/sin makes every
-    rotation exp(-i theta G / 2) = cos(theta/2) I - i sin(theta/2) G. The
-    reverse pass is adjoint-style (Jones & Gacon 2020): it caches no state
-    per gate but walks the stacked [psi; cot] back through each inverse
-    gate in one application. With M the gate's matrix cotangent at its
-    output, d/dtheta Re<cot, U psi_in> = 0.5 Im sum(conj(M) * G).
+    The template is compiled once by AnsatzCircuit.chain; `forward` is the
+    walk `run_ansatz` runs (circuit.run_ansatz_raw) and caches its rotation
+    stack. The reverse pass is adjoint-style (Jones & Gacon 2020): it
+    caches no state per gate but walks the stacked [psi; cot] back through
+    each inverse gate in one application. With M the gate's matrix
+    cotangent at its output, d/dtheta Re<cot, U psi_in> = 0.5 Im
+    sum(conj(M) * G).
     """
 
     kind = "Ansatz"
@@ -194,10 +195,7 @@ class AnsatzModel(_Model):
         self.n_qubits = template.n_qubits
         self.template = template
         self.theta = template.angles()
-        rotations = [op for op in template.ops if op.kind in ROTATION_KINDS]
-        self._paulis = np.array([ROTATION_PAULIS[op.kind] for op in rotations]).reshape(-1, 2, 2)
-        index = iter(range(len(rotations)))
-        self._chain = [(op.wires, next(index) if op.kind in ROTATION_KINDS else None) for op in template.ops]
+        self._chain, self._paulis = template.chain()
 
     @classmethod
     def random(cls, n_qubits: int, n_gates: int, seed: int, angle_scale: float = 1.0) -> "AnsatzModel":
@@ -208,11 +206,7 @@ class AnsatzModel(_Model):
         return model
 
     def forward(self, amps: np.ndarray):
-        half = 0.5 * self.theta[:, None, None]
-        rot = np.cos(half) * np.eye(2) - 1j * np.sin(half) * self._paulis
-        out = amps
-        for wires, r in self._chain:
-            out = apply_group_raw(out, self.n_qubits, wires, CNOT_MATRIX if r is None else rot[r])
+        out, rot = run_ansatz_raw(amps, self.n_qubits, self._chain, self._paulis, self.theta)
         return out, (out, rot)
 
     def backward(self, cache, cot: np.ndarray) -> np.ndarray:

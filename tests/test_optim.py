@@ -170,14 +170,15 @@ class TestLossAndGrad:
         assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
     def test_ansatz_applies_each_op_once_forward_and_once_backward(self, monkeypatch):
-        # The reverse pass walks the stacked [psi; cot], so each op is one
-        # application to 2B rows.
+        # The forward is circuit.py's walk; the reverse pass walks the
+        # stacked [psi; cot], so each op is one application to 2B rows.
         calls = []
 
         def counting(amps, n_qubits, wires, u):
             calls.append(len(amps))
             return apply_group_raw(amps, n_qubits, wires, u)
 
+        monkeypatch.setattr("unitary_forge.circuit.apply_group_raw", counting)
         monkeypatch.setattr(models, "apply_group_raw", counting)
         model = AnsatzModel.random(4, 12, seed=6)
         features = np.random.default_rng(6).uniform(-1, 1, (3, 4))
