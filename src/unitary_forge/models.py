@@ -9,20 +9,20 @@ vector and the rest of the protocol (`n_params`, `get_params`,
 constructors, `forward`, `backward` and serialization payload. This is the
 only module that runs the generator -> unitary -> adjoint chain: the
 quanv layer runs all its circuits as one stacked FullUnitaryModel.
-`forward` exponentiates each generator with matexp(x, basis=True), the
-package's one exponential kernel (one eigh), and caches the eigenbasis,
-which `backward` hands to matexp_vjp, so a training step decomposes each
-generator once. `apply` is `forward`. The circuit functions run the same
-kernels (the gate chain is compiled and walked in circuit.py, for the
-model and `run_ansatz` alike), so inference, training and the circuit
-path agree bit for bit.
+`forward` exponentiates its generator, or generator stack, with one
+matexp(x, basis=True), the package's one exponential kernel (one eigh),
+and caches the eigenbasis for `backward`'s one matexp_vjp, so a training
+step decomposes each generator once. `apply` is `forward`. The circuit
+functions run the same kernels and walks (circuit.py walks the gate and
+partitioned chains), so inference, training and the circuit path agree
+bit for bit.
 
 Three families cover the expressivity spectrum:
 
 * FullUnitaryModel - one generator vector of length 2^(2N), or a (k, 2^(2N))
   stack of k circuits; the whole unitary group, applied as a matrix product.
-* PartitionedModel - per-layer wire partitions with one small generator
-  per group; parameter count scales linearly in N for fixed group size.
+* PartitionedModel - per-layer wire partitions into size-k groups, one
+  small generator per group; parameters scale linearly in N for fixed k.
 * AnsatzModel - a composed-gate circuit whose rotation angles are the
   parameters; the classic restricted search space, and the slow baseline
   in the benchmarks (one 2x2 application per gate instead of one matmul).
@@ -43,8 +43,10 @@ from .circuit import (
     apply_group_raw,
     cyclic_partitions,
     group_cotangent,
+    partition_groups,
     random_layer,
     run_ansatz_raw,
+    run_partitioned_raw,
 )
 from .liegroup import assemble, param_grad, random_params
 from .linalg import matexp, matexp_vjp
@@ -72,6 +74,8 @@ class _Model:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.size != np.prod(shape):
             raise ValueError(f"parameter vector length {theta.size}, expected {np.prod(shape)}")
+        if not np.isfinite(theta).all():
+            raise ValueError("parameters must be finite")
         self.theta = theta.reshape(shape).copy()
 
     def apply(self, s: StateBatch) -> StateBatch:
@@ -112,24 +116,15 @@ class FullUnitaryModel(_Model):
 
 
 class PartitionedModel(_Model):
-    """Stack of wire partitions, each group carrying its own small generator."""
+    """Size-k wire groups per layer; the flat vector is the (n_groups, 4^k) generator stack."""
 
     kind = "Partitioned"
 
     def __init__(self, n_qubits: int, partitions: list[WirePartition], theta: np.ndarray):
         self.n_qubits = n_qubits
         self.partitions = list(partitions)
-        if any(p.n_qubits != n_qubits for p in self.partitions):
-            raise ValueError("partition wire count does not match the model")
-        # Flat layout: layers in order, groups in order within each layer.
-        self._slices: list[tuple[tuple[int, ...], slice]] = []
-        offset = 0
-        for p in self.partitions:
-            for group in p.groups:
-                size = (2 ** len(group)) ** 2
-                self._slices.append((group, slice(offset, offset + size)))
-                offset += size
-        self._set_theta(theta, (offset,))
+        self.groups = partition_groups(n_qubits, self.partitions)
+        self._set_theta(theta, (len(self.groups) * 4 ** len(self.groups[0]),))
 
     @classmethod
     def random(
@@ -141,35 +136,27 @@ class PartitionedModel(_Model):
         scale: float | None = None,
     ) -> "PartitionedModel":
         partitions = cyclic_partitions(n_qubits, group_size, n_layers)
-        rng = np.random.default_rng(seed)
-        chunks = []
-        for p in partitions:
-            for group in p.groups:
-                d = 2 ** len(group)
-                s = (1.0 / d) if scale is None else scale
-                chunks.append(s * rng.standard_normal(d * d))
-        return cls(n_qubits, partitions, np.concatenate(chunks))
+        d = 2 ** group_size
+        s = (1.0 / d) if scale is None else scale
+        n_params = n_layers * (n_qubits // group_size) * d * d
+        return cls(n_qubits, partitions, s * np.random.default_rng(seed).standard_normal(n_params))
 
     def forward(self, amps: np.ndarray):
-        apps = []
-        out = amps
-        for group, sl in self._slices:
-            x = assemble(self.theta[sl])
-            u, basis = matexp(x, basis=True)
-            apps.append((group, sl, x, basis, u, out))
-            out = apply_group_raw(out, self.n_qubits, group, u)
-        return out, apps
+        x = assemble(self.theta.reshape(len(self.groups), -1))
+        u, basis = matexp(x, basis=True)
+        out, inputs = run_partitioned_raw(amps, self.n_qubits, self.groups, u)
+        return out, (x, basis, u, inputs)
 
     def backward(self, cache, cot: np.ndarray) -> np.ndarray:
-        grad = np.zeros_like(self.theta)
-        for group, sl, x, basis, u, in_amps in reversed(cache):
-            ubar = group_cotangent(cot, in_amps, self.n_qubits, group)
-            grad[sl] = param_grad(matexp_vjp(x, ubar, basis))
-            cot = apply_group_raw(cot, self.n_qubits, group, u.conj().T)
-        return grad
+        x, basis, u, inputs = cache
+        ubar = np.empty_like(u)
+        for i in reversed(range(len(self.groups))):
+            ubar[i] = group_cotangent(cot, inputs[i], self.n_qubits, self.groups[i])
+            cot = apply_group_raw(cot, self.n_qubits, self.groups[i], u[i].conj().T)
+        return param_grad(matexp_vjp(x, ubar, basis)).ravel()
 
     def as_partitioned_unitary(self) -> PartitionedUnitary:
-        thetas = iter(self.theta[sl].copy() for _, sl in self._slices)
+        thetas = iter(self.theta.reshape(len(self.groups), -1).copy())
         layers = tuple((p, tuple(next(thetas) for _ in p.groups)) for p in self.partitions)
         return PartitionedUnitary(self.n_qubits, layers)
 

@@ -14,6 +14,7 @@ from unitary_forge.circuit import (
     apply_group,
     apply_partitioned,
     cyclic_partitions,
+    partition_groups,
     random_layer,
     run_ansatz,
     rx_encode,
@@ -200,12 +201,28 @@ class TestApplyPartitioned:
                 2, ((WirePartition(2, ((0, 1),)), (random_params(2, seed=0),)),)
             )
 
+    def test_groups_must_share_one_size(self):
+        layers = (
+            (WirePartition(3, ((0,), (1, 2))), (random_params(2, seed=0), random_params(4, seed=1))),
+        )
+        with pytest.raises(ValueError, match=r"one size, got sizes \[1, 2\]"):
+            PartitionedUnitary(3, layers)
+        layers = (
+            (WirePartition(2, ((0,), (1,))), (random_params(2, seed=0), random_params(2, seed=1))),
+            (WirePartition(2, ((1, 0),)), (random_params(4, seed=2),)),
+        )
+        with pytest.raises(ValueError, match=r"one size, got sizes \[1, 2\]"):
+            PartitionedUnitary(2, layers)
+
+    def test_groups_run_layer_by_layer(self):
+        assert partition_groups(4, cyclic_partitions(4, 2, 2)) == ((0, 1), (2, 3), (1, 2), (3, 0))
+
     def test_to_json_format(self):
         pu = PartitionedUnitary(
             2,
             (
                 (WirePartition(2, ((0,), (1,))), ([0.5, 0.0, 0.0, -0.25], [1.0, 2.0, 3.0, 4.0])),
-                (WirePartition(2, ((1, 0),)), (np.arange(16) / 8,)),
+                (WirePartition(2, ((1,), (0,))), (np.arange(4) / 8, [-1.0, 0.0, 0.5, 2.0])),
             ),
         )
         assert json.loads(pu.to_json()) == {
@@ -217,7 +234,12 @@ class TestApplyPartitioned:
                         {"wires": [1], "theta": [1.0, 2.0, 3.0, 4.0]},
                     ]
                 },
-                {"groups": [{"wires": [1, 0], "theta": [i / 8 for i in range(16)]}]},
+                {
+                    "groups": [
+                        {"wires": [1], "theta": [0.0, 0.125, 0.25, 0.375]},
+                        {"wires": [0], "theta": [-1.0, 0.0, 0.5, 2.0]},
+                    ]
+                },
             ],
         }
 
@@ -263,13 +285,14 @@ class TestOneGateCircuit:
         with pytest.raises(ValueError, match="RX angle must be finite"):
             run_ansatz(random_state(1, 2, 37), circuit.with_angles([np.inf]))
 
-    def test_model_with_inf_angle_fails_on_apply(self):
-        # Model parameters skip GateOp's check; the walk turns an inf angle
-        # into NaN amplitudes, which the state's norm check must reject.
+    def test_model_with_inf_angle_fails_on_set_params(self):
+        # Model parameters skip GateOp's check; the model's own finiteness
+        # check rejects them before any walk runs.
         model = AnsatzModel(AnsatzCircuit(1, (GateOp("RX", (0,), 0.5),)))
-        model.set_params([np.inf])
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="normalized"):
-            model.apply(random_state(1, 2, 38))
+        for angle in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                model.set_params([angle])
+        assert model.get_params().tolist() == [0.5]
 
 
 class TestRunAnsatz:

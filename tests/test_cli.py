@@ -159,6 +159,15 @@ class TestExecuteTrainIdentity:
         assert "group size 3 must divide the wire count 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("layers", [0, -1])
+    def test_partition_layers_below_one_exits_2(self, tmp_path, capsys, layers):
+        train = dict(TRAIN_CONFIG["train"], model_kind="Partitioned", partition_layers=layers)
+        cfg = write_config(tmp_path, "train.json", dict(TRAIN_CONFIG, train=train))
+        out = tmp_path / "out"
+        assert execute(RunManifest("train-identity", cfg, str(out))) == EXIT_USAGE
+        assert f"partition_layers must be >= 1, got {layers}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExecuteQuanvDemo:
     def test_writes_artifacts(self, tmp_path):

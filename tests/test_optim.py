@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from unitary_forge import models
-from unitary_forge.circuit import AnsatzCircuit, GateOp, apply_group_raw, rx_encode, z_expectations
+from unitary_forge.circuit import (
+    AnsatzCircuit,
+    GateOp,
+    WirePartition,
+    apply_group_raw,
+    cyclic_partitions,
+    group_cotangent,
+    rx_encode,
+    z_expectations,
+)
+from unitary_forge.liegroup import assemble, param_grad
+from unitary_forge.linalg import matexp, matexp_vjp
 from unitary_forge.models import AnsatzModel, FullUnitaryModel, PartitionedModel
 from unitary_forge.optim import (
     AdamState,
@@ -35,6 +46,43 @@ def fd_model_grad(model, features, targets, h=1e-5):
     fd = central_diff_grad(f, theta0, h)
     model.set_params(theta0)
     return fd
+
+
+def check_partitioned_fd(n_qubits, group_size, batch, seed):
+    model = PartitionedModel.random(n_qubits, group_size=group_size, n_layers=2, seed=seed)
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(-1, 1, (batch, n_qubits))
+    targets = rng.uniform(-1, 1, (batch, n_qubits))
+    _, grad = loss_and_grad(model, features, targets)
+    fd = fd_model_grad(model, features, targets)
+    assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
+
+
+class PerGroupPartitioned:
+    """A PartitionedModel's chain run one group at a time: assemble and
+    matexp per group forward, matexp_vjp and param_grad per group back."""
+
+    def __init__(self, model):
+        self.n_qubits = model.n_qubits
+        self.groups = [g for p in model.partitions for g in p.groups]
+        self.thetas = np.split(model.get_params(), len(self.groups))
+
+    def forward(self, amps):
+        cache = []
+        for group, theta in zip(self.groups, self.thetas):
+            x = assemble(theta)
+            u, basis = matexp(x, basis=True)
+            cache.append((group, x, basis, u, amps))
+            amps = apply_group_raw(amps, self.n_qubits, group, u)
+        return amps, cache
+
+    def backward(self, cache, cot):
+        grads = []
+        for group, x, basis, u, in_amps in reversed(cache):
+            ubar = group_cotangent(cot, in_amps, self.n_qubits, group)
+            grads.append(param_grad(matexp_vjp(x, ubar, basis)))
+            cot = apply_group_raw(cot, self.n_qubits, group, u.conj().T)
+        return np.concatenate(grads[::-1])
 
 
 class TestMseLoss:
@@ -189,22 +237,27 @@ class TestLossAndGrad:
         assert calls == [6] * len(model.template.ops)
 
     def test_partitioned_matches_finite_differences(self):
-        model = PartitionedModel.random(3, group_size=1, n_layers=2, seed=7)
-        rng = np.random.default_rng(7)
-        features = rng.uniform(-1, 1, (4, 3))
-        targets = rng.uniform(-1, 1, (4, 3))
-        _, grad = loss_and_grad(model, features, targets)
-        fd = fd_model_grad(model, features, targets)
-        assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
+        check_partitioned_fd(3, group_size=1, batch=4, seed=7)
 
     def test_partitioned_multiwire_groups(self):
-        model = PartitionedModel.random(4, group_size=2, n_layers=2, seed=8)
-        rng = np.random.default_rng(8)
-        features = rng.uniform(-1, 1, (2, 4))
-        targets = rng.uniform(-1, 1, (2, 4))
-        _, grad = loss_and_grad(model, features, targets)
-        fd = fd_model_grad(model, features, targets)
-        assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
+        check_partitioned_fd(4, group_size=2, batch=2, seed=8)
+
+    def test_partitioned_three_wire_groups(self):
+        check_partitioned_fd(6, group_size=3, batch=2, seed=9)
+
+    @pytest.mark.parametrize("n_qubits, group_size, n_layers", [
+        (2, 1, 8), (3, 1, 2), (4, 2, 3), (6, 2, 8), (6, 3, 3), (4, 4, 2), (8, 4, 2),
+    ])
+    def test_partitioned_stack_equals_a_per_group_loop(self, n_qubits, group_size, n_layers):
+        model = PartitionedModel.random(n_qubits, group_size, n_layers, seed=n_layers, scale=1.0)
+        loop = PerGroupPartitioned(model)
+        features, targets = identity_dataset(n_qubits, 3, seed=group_size)
+        loss, grad = loss_and_grad(model, features, targets)
+        loop_loss, loop_grad = loss_and_grad(loop, features, targets)
+        assert loss == loop_loss
+        assert np.array_equal(grad, loop_grad)
+        amps = rx_encode(features).amplitudes
+        assert np.array_equal(model.apply(rx_encode(features)).amplitudes, loop.forward(amps)[0])
 
     def test_feature_dimension_must_match_model(self):
         model = FullUnitaryModel.random(2, seed=9)
@@ -233,6 +286,30 @@ class TestModelSurface:
             model.set_params(np.zeros(8))
         with pytest.raises(ValueError, match="length 6, expected 8"):  # two rows of 4
             FullUnitaryModel(1, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameters_are_rejected(self, bad):
+        for model in (
+            FullUnitaryModel.random(1, seed=0),
+            PartitionedModel.random(2, 1, 2, seed=0),
+            AnsatzModel.random(2, 4, seed=0),
+        ):
+            theta = model.get_params()
+            with pytest.raises(ValueError, match="finite"):
+                model.set_params(np.where(np.arange(theta.size) == 1, bad, theta))
+            assert np.array_equal(model.get_params(), theta)
+        with pytest.raises(ValueError, match="finite"):
+            FullUnitaryModel(1, [0.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            PartitionedModel(2, cyclic_partitions(2, 1, 1), [bad] + [0.0] * 7)
+
+    def test_partitioned_groups_must_share_one_size(self):
+        partitions = [WirePartition(3, ((0,), (1, 2)))]
+        with pytest.raises(ValueError, match=r"one size, got sizes \[1, 2\]"):
+            PartitionedModel(3, partitions, np.zeros(4 + 16))
+        partitions = cyclic_partitions(2, 1, 1) + cyclic_partitions(2, 2, 1)
+        with pytest.raises(ValueError, match=r"one size, got sizes \[1, 2\]"):
+            PartitionedModel(2, partitions, np.zeros(8 + 16))
 
     def test_serialized_payloads(self):
         m = FullUnitaryModel.random(2, seed=1)

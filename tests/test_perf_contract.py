@@ -138,16 +138,16 @@ def eigh_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("build, generators", [
-    (lambda: FullUnitaryModel.random(3, seed=0), 1),
-    (lambda: PartitionedModel.random(4, 2, 3, seed=0), 6),  # 3 layers of 2 groups
-    (lambda: PartitionedModel.random(3, 1, 2, seed=0), 6),  # 2 layers of 3 groups
+@pytest.mark.parametrize("build", [
+    lambda: FullUnitaryModel.random(3, seed=0),
+    lambda: PartitionedModel.random(4, 2, 3, seed=0),  # 3 layers of 2 groups, one stack
+    lambda: PartitionedModel.random(3, 1, 2, seed=0),  # 2 layers of 3 groups, one stack
 ], ids=["full", "partitioned-pairs", "partitioned-single-wires"])
-def test_training_step_runs_one_eigh_per_generator(eigh_calls, build, generators):
+def test_training_step_runs_one_eigh(eigh_calls, build):
     model = build()
     x, y = optim.identity_dataset(model.n_qubits, 4, seed=0)
     _, grad = optim.loss_and_grad(model, x, y)
-    assert eigh_calls[0] == generators
+    assert eigh_calls[0] == 1
     assert np.isfinite(grad).all()
 
     # Inference is the training forward, bit for bit.
@@ -163,9 +163,9 @@ def test_to_unitary_and_random_unitary_run_one_eigh(eigh_calls):
     assert eigh_calls[0] == 2
 
 
-def test_apply_partitioned_runs_one_eigh_per_generator(eigh_calls):
+def test_apply_partitioned_runs_one_eigh(eigh_calls):
     unitary = PartitionedModel.random(4, 2, 2, seed=0).as_partitioned_unitary()
     states = circuit.rx_encode(optim.identity_dataset(4, 3, seed=0)[0])
     assert eigh_calls[0] == 0
     circuit.apply_partitioned(states, unitary)
-    assert eigh_calls[0] == 4  # 2 layers of 2 groups
+    assert eigh_calls[0] == 1  # 2 layers of 2 groups, one stack
